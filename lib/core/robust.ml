@@ -153,17 +153,20 @@ let tau_trace r ~from_ ~to_ =
   in
   go (from_ + 1) Subst.empty
 
-let aggregation r =
+(* The aggregation of the length-[len] prefix of the sequence. *)
+let prefix_aggregation r len =
   Obs.Metrics.incr m_aggregations;
   (* τ̄_i^k built from the top down: τ̄_i^k = τ̄_{i+1}^k • τ_{i+1} *)
   let rec go i trace acc =
     if i < 0 then acc
     else
-      let acc = Atomset.union acc (Subst.apply trace (g_at r i)) in
-      if i = 0 then acc
-      else go (i - 1) (Subst.compose trace (step r i).tau) acc
+      let st = r.steps_arr.(i) in
+      let acc = Atomset.union acc (Subst.apply trace st.g) in
+      if i = 0 then acc else go (i - 1) (Subst.compose trace st.tau) acc
   in
-  go (r.len - 1) Subst.empty Atomset.empty
+  go (len - 1) Subst.empty Atomset.empty
+
+let aggregation r = prefix_aggregation r r.len
 
 let aggregation_upto r i =
   if i < 0 || i >= r.len then invalid_arg "Robust.aggregation_upto";
@@ -258,15 +261,15 @@ let check_invariants r =
   in
   let* () = loop 0 in
   (* Lemma 1(i) on prefixes: pushing the length-j prefix aggregation through
-     τ_{j+1} lands inside the length-(j+1) prefix aggregation *)
-  let prefix_of j = { r with steps_arr = Array.sub r.steps_arr 0 j; len = j } in
-  let rec mono j =
+     τ_{j+1} lands inside the length-(j+1) prefix aggregation.  Every
+     prefix aggregation is built top-down, independently of the others;
+     each one serves as [a_(j+1)] and then as the next iteration's [a_j]. *)
+  let rec mono j a_j =
     if j >= r.len then Ok ()
     else
-      let a_j = aggregation (prefix_of j) in
-      let a_j1 = aggregation (prefix_of (j + 1)) in
+      let a_j1 = prefix_aggregation r (j + 1) in
       let pushed = Subst.apply rsteps.(j).tau a_j in
-      if Atomset.subset pushed a_j1 then mono (j + 1)
+      if Atomset.subset pushed a_j1 then mono (j + 1) a_j1
       else Error (Printf.sprintf "prefix aggregation not monotone at %d" j)
   in
-  mono 1
+  if r.len <= 1 then Ok () else mono 1 (prefix_aggregation r 1)

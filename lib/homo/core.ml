@@ -52,35 +52,41 @@ let key_pair b d =
       Flat.args fd;
     ]
 
-(* The fold search works on one index of the current instance; candidate
-   targets (the instance minus the atoms carrying one variable / minus one
-   atom) are derived from it by incremental removal rather than rebuilt.
-   Failed per-candidate searches are memoised under the base instance's
-   generation: within one epoch (notably when [Audit] re-runs the full
-   search after the scoped one) each candidate is searched at most once. *)
-let fold_via_var idx a epoch x =
-  let target = Instance.remove_atoms idx (Instance.atoms_with_term idx x) in
-  Hom.find ~memo:(key_var x, epoch) a target
+(* The fold search works on one index of the current instance and one
+   compiled encoding of its atoms (DESIGN.md §9): every candidate target
+   — the instance minus the atoms carrying one variable — is an
+   exclusion view of that index, so a candidate costs neither a
+   re-encoding of the source nor a copy of the index.  Per-candidate
+   searches are memoised under the base instance's generation: within
+   one epoch (notably when [Audit] re-runs the full search after the
+   scoped one) each candidate is searched at most once.  The key names
+   the candidate, which determines the excluded terms. *)
+let fold_via_var idx a compiled epoch x =
+  Hom.find ~memo:(key_var x, epoch) ~compiled ~exclude:[ x ] a idx
 
-let fold_via_atom idx a epoch at =
+let fold_via_atom idx a compiled epoch at =
   if Atom.is_ground at then None
   else
-    Hom.find ~memo:(key_atom at, epoch) a (Instance.remove_atoms idx [ at ])
+    Hom.find ~memo:(key_atom at, epoch) ~compiled a
+      (Instance.remove_atoms idx [ at ])
 
 (* [Par.find_first_map] is [List.find_map] with jobs = 1; with a pool it
    evaluates the candidates in waves and keeps the lowest-index success,
    so the fold found (and hence the whole retraction chain) is the one
-   the sequential search finds. *)
+   the sequential search finds.  The source is compiled on the calling
+   domain, and only when there is a candidate to search. *)
 let find_fold_indexed idx =
   let a = Instance.atomset idx in
   let epoch = Instance.generation idx in
+  let search fold = function
+    | [] -> None
+    | cands ->
+        Par.find_first_map ~site:"core.fold" (fold idx a (Hom.compile a) epoch)
+          cands
+  in
   match !strategy with
-  | By_variable ->
-      Par.find_first_map ~site:"core.fold" (fold_via_var idx a epoch)
-        (Atomset.vars a)
-  | By_atom ->
-      Par.find_first_map ~site:"core.fold" (fold_via_atom idx a epoch)
-        (Atomset.to_list a)
+  | By_variable -> search fold_via_var (Atomset.vars a)
+  | By_atom -> search fold_via_atom (Atomset.to_list a)
 
 let find_fold a = find_fold_indexed (Instance.of_atomset a)
 
@@ -139,9 +145,9 @@ let find_fold_scoped idx ~fresh ~added =
         (fun s x -> if TSet.mem x freshset then s else Subst.add x x s)
         Subst.empty (Atomset.vars a)
   in
-  let via_fresh z =
-    Hom.find ~memo:(key_fresh z, epoch) ~seed:keep_seed a
-      (Instance.remove_atoms idx (Instance.atoms_with_term idx z))
+  let via_fresh compiled z =
+    Hom.find ~memo:(key_fresh z, epoch) ~seed:keep_seed ~compiled
+      ~exclude:[ z ] a idx
   in
   (* case (b): an old atom maps onto a new delta atom *)
   let pair_candidates =
@@ -168,16 +174,22 @@ let find_fold_scoped idx ~fresh ~added =
           (Instance.atoms_with_pred idx (Atom.pred d)))
       added
   in
-  let via_pair (b, d, h, moved) =
-    let dropped = List.concat_map (Instance.atoms_with_term idx) moved in
-    Hom.find ~memo:(key_pair b d, epoch) ~seed:h a
-      (Instance.remove_atoms idx dropped)
+  let via_pair compiled (b, d, h, moved) =
+    Hom.find ~memo:(key_pair b d, epoch) ~seed:h ~compiled ~exclude:moved a idx
   in
   let searches = List.length alive_fresh + List.length pair_candidates in
   let r =
-    match Par.find_first_map ~site:"core.scoped" via_fresh alive_fresh with
-    | Some h -> Some h
-    | None -> Par.find_first_map ~site:"core.scoped" via_pair pair_candidates
+    if searches = 0 then None
+    else
+      (* one encoding of the instance for every seeded search *)
+      let compiled = Hom.compile a in
+      match
+        Par.find_first_map ~site:"core.scoped" (via_fresh compiled) alive_fresh
+      with
+      | Some h -> Some h
+      | None ->
+          Par.find_first_map ~site:"core.scoped" (via_pair compiled)
+            pair_candidates
   in
   if !Obs.Metrics.enabled then begin
     Obs.Metrics.incr m_scoped;

@@ -161,35 +161,37 @@ let solve_boxed ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
   in
   go seed init_used (Array.length arr)
 
-(* Flat solver: the same search over interned codes.  The source is
-   encoded once per call — its variables get dense slots, each pattern
-   atom becomes an [fpat] (original rank, pred id, codes with
-   [lnot slot] for the variables, and the predicate's index handle,
-   resolved here rather than at every node) — and the inner loop then
-   touches only int arrays: the partial homomorphism is [bind]
-   (slot -> code, [Flat.no_code] when unbound), candidate matching
-   compares codes positionally, and undo pops a slot trail.  No
-   [Subst.t], no [Term.t] and no list is built until a full solution is
-   emitted. *)
-type fpat = {
-  rank : int;
-  fpred : int;
-  fargs : int array;
-  fidx : Instance.findex;
+(* Compiled sources: the flat solver's encoding of a source atomset,
+   independent of any target, so one fold search encodes the instance
+   once and reuses it for every candidate (DESIGN.md §9, §12).  The
+   source's variables get dense slots ([c_vars]: slot -> variable) and
+   each pattern atom, identified by its rank in [Atomset.to_list src],
+   becomes a predicate id plus codes with [lnot slot] for the
+   variables.  Immutable, so pool workers share it.  [c_src] is the
+   source it encodes: [solve] uses a compiled source only for that very
+   atomset. *)
+type compiled = {
+  c_src : Atomset.t;
+  c_vars : Term.t array;
+  c_pred : int array;
+  c_args : int array array;
+  c_consts : int list;  (** codes of the source's constants, repeats allowed *)
 }
 
-let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
-    (tgt : Instance.t) : unit =
+let compile (src : Atomset.t) : compiled =
   let slot_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let rev_vars = ref [] in
   let nslots = ref 0 in
+  let consts = ref [] in
   let enc_term t =
     match t with
     | Term.Const _ ->
         (* interning (not [code_of_term_opt]): a never-seen constant gets
            a real id that no target atom carries, so it fails to match
            exactly as boxed [Term.equal] does *)
-        Flat.code_of_term t
+        let code = Flat.code_of_term t in
+        consts := code :: !consts;
+        code
     | Term.Var v -> (
         match Hashtbl.find_opt slot_of v.Term.id with
         | Some s -> lnot s
@@ -200,21 +202,57 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
             rev_vars := t :: !rev_vars;
             lnot s)
   in
-  let pats =
-    Array.of_list
-      (List.mapi
-         (fun i a ->
-           let pid = Flat.Symtab.intern (Atom.pred a) in
-           {
-             rank = i;
-             fpred = pid;
-             fargs = Array.of_list (List.map enc_term (Atom.args a));
-             fidx = Instance.findex tgt ~pred:pid;
-           })
-         (Atomset.to_list src))
-  in
-  let n = !nslots in
-  let vars = Array.of_list (List.rev !rev_vars) in
+  let atoms = Atomset.to_list src in
+  let n = List.length atoms in
+  let c_pred = Array.make n 0 and c_args = Array.make n [||] in
+  List.iteri
+    (fun i a ->
+      c_pred.(i) <- Flat.Symtab.intern (Atom.pred a);
+      c_args.(i) <- Array.of_list (List.map enc_term (Atom.args a)))
+    atoms;
+  {
+    c_src = src;
+    c_vars = Array.of_list (List.rev !rev_vars);
+    c_pred;
+    c_args;
+    c_consts = !consts;
+  }
+
+(* The injectivity table of a non-injective search, which is never read
+   or written: a placeholder saves an allocation per call. *)
+let no_used : (int, unit) Hashtbl.t = Hashtbl.create 1
+
+(* The view of a search without exclusions, which is never read: a
+   placeholder like [no_used]. *)
+let no_view = Instance.excluding Instance.empty []
+
+(* One index handle per pattern, resolved once per predicate run:
+   atomset order sorts by predicate, so equal predicates are adjacent. *)
+let per_pred_run cpred make =
+  let npats = Array.length cpred in
+  if npats = 0 then [||]
+  else begin
+    let h = Array.make npats (make cpred.(0)) in
+    for p = 1 to npats - 1 do
+      h.(p) <- (if cpred.(p) = cpred.(p - 1) then h.(p - 1) else make cpred.(p))
+    done;
+    h
+  end
+
+(* Flat solver: the same search over interned codes.  The inner loop
+   touches only int arrays: the partial homomorphism is [bind]
+   (slot -> code, [Flat.no_code] when unbound), candidate matching
+   compares codes positionally, and undo pops a slot trail.  Patterns
+   are named by their rank [p] in the compiled source; the live ones
+   are the prefix [0, live) of [order], and each pattern's index handle
+   is resolved once per call.  No [Subst.t], no [Term.t] and no list is
+   built until a full solution is emitted. *)
+let solve_flat ~bt ~nodes ~seed ~injective ~k (c : compiled)
+    (tgt : Instance.t) (view : Instance.view option) : unit =
+  let vars = c.c_vars and cpred = c.c_pred and cargs = c.c_args in
+  let n = Array.length vars in
+  let npats = Array.length cpred in
+  let order = Array.init npats Fun.id in
   let bind = Array.make (max n 1) Flat.no_code in
   let seeded = Array.make (max n 1) false in
   let trail = Array.make (max n 1) 0 in
@@ -230,13 +268,9 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
      constants (their own images) and the seed's images.  Entries from
      this initialisation are permanent; only trail-recorded additions are
      undone. *)
-  let used : (int, unit) Hashtbl.t =
-    Hashtbl.create (if injective then 32 else 1)
-  in
+  let used = if injective then Hashtbl.create 32 else no_used in
   if injective then begin
-    List.iter
-      (fun c -> Hashtbl.replace used (Flat.code_of_term c) ())
-      (Atomset.consts src);
+    List.iter (fun code -> Hashtbl.replace used code ()) c.c_consts;
     for s = 0 to n - 1 do
       if seeded.(s) then Hashtbl.replace used bind.(s) ()
     done
@@ -246,7 +280,9 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
      hence printed output) are the ones the target atoms carry — bit-
      identical to what the boxed solver binds.  Every bound code comes
      from a target atom, so the witness exists; the [Flat.term_of_code]
-     fallback is belt and braces. *)
+     fallback is belt and braces.  Under a view the witness may sit in a
+     hidden atom: it is the one [remove_atoms] keeps too, since removal
+     never replaces the witness of a code that still occurs. *)
   let emit () =
     let sigma = ref seed in
     for s = 0 to n - 1 do
@@ -290,6 +326,33 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
         match_args fargs ta plen (i + 1)
       end
   in
+  (* The live pattern of smallest rank (the [naive_order] ablation). *)
+  let first_rank live =
+    let best = ref 0 in
+    for i = 1 to live - 1 do
+      if order.(i) < order.(!best) then best := i
+    done;
+    !best
+  in
+  (* With exclusions ([hiding]) bucket counts and items come from the
+     view's handles [vfidx], and hidden candidates are skipped without
+     counting a backtrack; otherwise from the index handles [fidx].  Only
+     the array the search uses is built.  Selection is most-constrained-
+     first over the cached bucket cardinalities, with [solve_boxed]'s
+     bucket choice and tie-breaking (a pattern's rank is [p]).  A
+     zero-cardinality count stops the scan: the node is a dead end
+     whichever zero-bucket pattern is charged with it, so skipping the
+     remaining counts changes nothing observable. *)
+  let hiding = match view with Some _ -> true | None -> false in
+  let v = match view with Some v -> v | None -> no_view in
+  let fidx =
+    if hiding then [||]
+    else per_pred_run cpred (fun pred -> Instance.findex tgt ~pred)
+  in
+  let vfidx =
+    if hiding then per_pred_run cpred (fun pred -> Instance.view_findex v ~pred)
+    else [||]
+  in
   let rec go live =
     incr nodes;
     if !nodes land 255 = 0 then Resilience.poll ();
@@ -297,70 +360,92 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (src : Atomset.t)
     else begin
       let best = ref 0 in
       if live > 1 then
-        if !naive_order then
-          for i = 1 to live - 1 do
-            if pats.(i).rank < pats.(!best).rank then best := i
-          done
+        if !naive_order then best := first_rank live
         else begin
-          (* most-constrained-first over the cached bucket cardinalities;
-             identical bucket choice and tie-breaking to [solve_boxed].
-             A zero-cardinality count stops the scan: the node is a dead
-             end whichever zero-bucket pattern is charged with it, so
-             skipping the remaining counts changes nothing observable. *)
-          let p0 = pats.(0) in
-          let bc = ref (Instance.findex_count p0.fidx ~fargs:p0.fargs ~bind) in
-          let i = ref 1 in
+          let bc = ref max_int in
+          let i = ref 0 in
           while !bc > 0 && !i < live do
-            let p = pats.(!i) in
-            let c = Instance.findex_count p.fidx ~fargs:p.fargs ~bind in
-            if c < !bc || (c = !bc && p.rank < pats.(!best).rank) then begin
+            let p = order.(!i) in
+            let fargs = cargs.(p) in
+            let c =
+              if hiding then Instance.view_count vfidx.(p) ~fargs ~bind
+              else Instance.findex_count fidx.(p) ~fargs ~bind
+            in
+            if c < !bc || (c = !bc && p < order.(!best)) then begin
               best := !i;
               bc := c
             end;
             incr i
           done
         end;
-      let chosen = pats.(!best) in
-      pats.(!best) <- pats.(live - 1);
-      pats.(live - 1) <- chosen;
-      candidates chosen (live - 1)
-        (Instance.findex_items chosen.fidx ~fargs:chosen.fargs ~bind)
+      let chosen = order.(!best) in
+      order.(!best) <- order.(live - 1);
+      order.(live - 1) <- chosen;
+      let fargs = cargs.(chosen) in
+      candidates cpred.(chosen) fargs (live - 1)
+        (if hiding then Instance.view_items vfidx.(chosen) ~fargs ~bind
+         else Instance.findex_items fidx.(chosen) ~fargs ~bind)
     end
-  and candidates chosen live = function
+  and candidates fpred fargs live = function
     | [] -> ()
     | (e : Instance.fentry) :: rest ->
-        let fa = e.Instance.flat in
-        let ta = Flat.args fa in
-        let fargs = chosen.fargs in
-        let plen = Array.length fargs in
-        let mark = !tp in
-        if
-          Flat.pred fa = chosen.fpred
-          && Array.length ta = plen
-          && match_args fargs ta plen 0
-        then begin
-          go live;
-          undo mark
-        end
-        else begin
-          undo mark;
-          incr bt
+        if not (hiding && Instance.view_excludes v e) then begin
+          let fa = e.Instance.flat in
+          let ta = Flat.args fa in
+          let plen = Array.length fargs in
+          let mark = !tp in
+          if
+            Flat.pred fa = fpred
+            && Array.length ta = plen
+            && match_args fargs ta plen 0
+          then begin
+            go live;
+            undo mark
+          end
+          else begin
+            undo mark;
+            incr bt
+          end
         end;
-        candidates chosen live rest
+        candidates fpred fargs live rest
   in
-  go (Array.length pats)
+  go npats
 
 (* Core backtracking engine.  [k] is called on every solution; raising from
-   [k] aborts the search (used for early exit). *)
-let solve ?(seed = Subst.empty) ?(injective = false) ~(k : Subst.t -> unit)
-    (src : Atomset.t) (tgt : Instance.t) : unit =
+   [k] aborts the search (used for early exit).  [exclude] searches [tgt]
+   minus the atoms containing those terms: the flat solver through an
+   exclusion view, the boxed reference on the [remove_atoms] copy the
+   view stands for. *)
+let solve ?(seed = Subst.empty) ?(injective = false) ?compiled ?(exclude = [])
+    ~(k : Subst.t -> unit) (src : Atomset.t) (tgt : Instance.t) : unit =
   Resilience.Fault.hit "hom";
   if Atomset.cardinal src > !max_depth then raise Stdlib.Stack_overflow;
   let bt = ref 0 in
   let nodes = ref 0 in
+  let view =
+    match exclude with
+    | [] -> None
+    | terms ->
+        let v = Instance.excluding tgt terms in
+        if Instance.view_excluded v > 0 then Some v else None
+  in
   let run () =
-    if !flat_enabled then solve_flat ~bt ~nodes ~seed ~injective ~k src tgt
-    else solve_boxed ~bt ~nodes ~seed ~injective ~k src tgt
+    if !flat_enabled then
+      let c =
+        match compiled with
+        | Some c when c.c_src == src -> c
+        | _ -> compile src
+      in
+      solve_flat ~bt ~nodes ~seed ~injective ~k c tgt view
+    else
+      let tgt =
+        match view with
+        | None -> tgt
+        | Some _ ->
+            Instance.remove_atoms tgt
+              (List.concat_map (Instance.atoms_with_term tgt) exclude)
+      in
+      solve_boxed ~bt ~nodes ~seed ~injective ~k src tgt
   in
   if not (Obs.live ()) then run ()
   else begin
@@ -377,7 +462,10 @@ let solve ?(seed = Subst.empty) ?(injective = false) ~(k : Subst.t -> unit)
                  {
                    backtracks = !bt;
                    src_atoms = Atomset.cardinal src;
-                   tgt_atoms = Instance.cardinal tgt;
+                   tgt_atoms =
+                     (match view with
+                     | None -> Instance.cardinal tgt
+                     | Some v -> Instance.view_cardinal v);
                  })
         end)
       (fun () -> Obs.Metrics.count_minor_words m_minor_words run)
@@ -436,10 +524,10 @@ let m_memo_hits = Obs.Metrics.counter "hom.memo_hits"
 
 let m_memo_misses = Obs.Metrics.counter "hom.memo_misses"
 
-let find_uncached ?seed ?injective src tgt =
+let find_uncached ?seed ?injective ?compiled ?exclude src tgt =
   let result = ref None in
   (try
-     solve ?seed ?injective
+     solve ?seed ?injective ?compiled ?exclude
        ~k:(fun s ->
          result := Some s;
          raise Stop)
@@ -462,13 +550,13 @@ let find_uncached ?seed ?injective src tgt =
 let witness_ok sigma src tgt =
   Atomset.for_all (fun a -> Instance.mem tgt (Subst.apply_atom sigma a)) src
 
-let find_memo ~allow_stale ?seed ?injective ?memo src tgt =
+let find_memo ~allow_stale ?seed ?injective ?memo ?compiled ?exclude src tgt =
   match memo with
   | Some (key, epoch) when !memo_enabled -> (
       let tbl = memo_tbl () in
       let search_and_store () =
         if !Obs.Metrics.enabled then Obs.Metrics.incr m_memo_misses;
-        let r = find_uncached ?seed ?injective src tgt in
+        let r = find_uncached ?seed ?injective ?compiled ?exclude src tgt in
         if Hashtbl.length tbl >= memo_max then Hashtbl.reset tbl;
         Hashtbl.replace tbl key (epoch, r);
         r
@@ -485,10 +573,10 @@ let find_memo ~allow_stale ?seed ?injective ?memo src tgt =
           Hashtbl.replace tbl key (epoch, r);
           r
       | _ -> search_and_store ())
-  | _ -> find_uncached ?seed ?injective src tgt
+  | _ -> find_uncached ?seed ?injective ?compiled ?exclude src tgt
 
-let find ?seed ?injective ?memo src tgt =
-  find_memo ~allow_stale:false ?seed ?injective ?memo src tgt
+let find ?seed ?injective ?memo ?compiled ?exclude src tgt =
+  find_memo ~allow_stale:false ?seed ?injective ?memo ?compiled ?exclude src tgt
 
 let exists ?seed ?injective ?memo src tgt =
   match find_memo ~allow_stale:true ?seed ?injective ?memo src tgt with

@@ -15,10 +15,22 @@ val extend_via_atom : Subst.t -> Atom.t -> Atom.t -> Subst.t option
     constants or existing bindings clash.  Exposed for unit testing and for
     single-atom matching in dependency analysis. *)
 
+type compiled
+(** A source atomset encoded for the flat solver: variable slots and
+    flat patterns, independent of any target.  Immutable, so it may be
+    shared across pool workers. *)
+
+val compile : Atomset.t -> compiled
+(** [compile src] encodes [src] once (interning its predicates and
+    constants).  A fold search, which asks many questions with the same
+    source, compiles it once and passes the result to every {!find}. *)
+
 val find :
   ?seed:Subst.t ->
   ?injective:bool ->
   ?memo:int array * int ->
+  ?compiled:compiled ->
+  ?exclude:Term.t list ->
   Atomset.t ->
   Instance.t ->
   Subst.t option
@@ -27,6 +39,17 @@ val find :
     by the seed plus the seed itself.  With [~injective:true] the returned
     substitution is injective on [terms src] (constants included: a variable
     may not map onto a term that is already an image).
+
+    [~compiled:(compile src)] saves re-encoding the source.  It is used
+    only when it was compiled from this very [src] value (physical
+    equality); otherwise [src] is compiled afresh, so a mismatched one
+    costs time but never changes the answer.  The boxed solver ignores
+    it.
+
+    [~exclude:ts] searches [tgt] minus the atoms containing a term of
+    [ts], through an {!Instance.view} instead of a copy: the result, and
+    the [hom.*] counts, are exactly those of
+    [find src (Instance.remove_atoms tgt atoms)] for those atoms.
 
     [~memo:(key, epoch)] enables the result memo: if a previous call with
     the same [key] ran at the same [epoch], its result — [None] or the
@@ -37,9 +60,9 @@ val find :
     build, cheap to hash, compared structurally (callers must not mutate
     a key after passing it).  Correctness contract (caller's
     responsibility): for a fixed [key], all calls at a given [epoch] must
-    pose the same question — same [src], [seed], [injective] and a target
-    constructed the same way from the same instance values.  Pass
-    [Instance.generation tgt] as the epoch (epochs are per instance
+    pose the same question — same [src], [seed], [injective], [exclude]
+    and a target constructed the same way from the same instance values.
+    Pass [Instance.generation tgt] as the epoch (epochs are per instance
     value, so an epoch match replays a search against the very same
     target and the deterministic solver's very same answer) or, for
     searches against instances derived from a common base, the base's

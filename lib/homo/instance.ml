@@ -276,10 +276,11 @@ let mem ins a = Atomset.mem a ins.atoms
 
 let boxed_items b = List.map (fun e -> e.boxed) b.items
 
+(* [Not_found] rather than [find_opt]: solvers resolve one handle per
+   pattern per call, and the option would be their only allocation
+   here. *)
 let pred_index ins pid =
-  match IMap.find_opt pid ins.by_pred with
-  | Some pi -> pi
-  | None -> pindex_empty
+  try IMap.find pid ins.by_pred with Not_found -> pindex_empty
 
 (* Position lookup on a [pindex]: [Not_found] is caught rather than
    probed with [find_opt] — the handler costs nothing on the hit path
@@ -361,6 +362,128 @@ let findex_count fi ~fargs ~bind =
 let findex_items fi ~fargs ~bind =
   if !use_indexes then (findex_select fi ~fargs ~bind).items
   else fall_entries fi.f_ins
+
+(* Exclusion views (DESIGN.md §9): [ins] minus the atoms containing one
+   of a few terms, without building that instance.  The view keeps the
+   codes of the excluded terms that occur in [ins] and the distinct
+   atoms carrying them; a bucket's cardinality in the view is its
+   cached [n] minus the excluded atoms it holds, counted by an
+   O(|excluded|) scan that allocates nothing.  Selection over these
+   adjusted counts picks the bucket [remove_atoms] would have left with
+   the same cardinality, and [remove_atoms] keeps bucket order, so a
+   solver that skips the excluded entries of that bucket walks exactly
+   the candidates of the copy, in the same order. *)
+type view = { v_ins : t; v_codes : int array; v_ex : Flat.t array }
+
+let rec has_code codes c j =
+  j < Array.length codes && (codes.(j) = c || has_code codes c (j + 1))
+
+let rec has_any codes args i =
+  i < Array.length args
+  && (has_code codes args.(i) 0 || has_any codes args (i + 1))
+
+let excluding ins terms =
+  let codes =
+    List.filter_map
+      (fun t ->
+        match Flat.code_of_term_opt t with
+        | Some c when IMap.mem c ins.by_code -> Some c
+        | _ -> None)
+      terms
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  (* an atom carrying several excluded codes sits in several by-term
+     buckets but is hidden once *)
+  let ex =
+    Array.to_list codes
+    |> List.concat_map (fun c ->
+           List.map (fun e -> e.flat) (snd (IMap.find c ins.by_code)).items)
+    |> List.sort_uniq Flat.compare |> Array.of_list
+  in
+  { v_ins = ins; v_codes = codes; v_ex = ex }
+
+let view_excluded v = Array.length v.v_ex
+
+let view_cardinal v = cardinal v.v_ins - Array.length v.v_ex
+
+let view_excludes v e = has_any v.v_codes e.flat.Flat.args 0
+
+(* A pattern's selection handle under a view, resolved once per
+   predicate per solve call like [findex]: the predicate's excluded
+   atoms (at any arity — the predicate bucket does not separate arities
+   either), the predicate bucket's adjusted cardinality, and a one-word
+   Bloom filter over the codes those atoms carry.  A position bucket
+   whose code misses the filter holds no excluded atom, so most
+   adjusted counts cost one [land] over [findex_count]. *)
+type vfindex = {
+  vf_fi : findex;
+  vf_ex : Flat.t array;
+  vf_all : int;
+  vf_mask : int;
+  vf_card : int;
+}
+
+let code_bit c = 1 lsl (c land 31)
+
+let view_findex v ~pred =
+  let fi = findex v.v_ins ~pred in
+  let ex =
+    Array.of_list
+      (List.filter (fun f -> f.Flat.pred = pred) (Array.to_list v.v_ex))
+  in
+  {
+    vf_fi = fi;
+    vf_ex = ex;
+    vf_all = fi.f_pi.all.n - Array.length ex;
+    vf_mask =
+      Array.fold_left
+        (fun m f -> Array.fold_left (fun m c -> m lor code_bit c) m f.Flat.args)
+        0 ex;
+    vf_card = view_cardinal v;
+  }
+
+(* Excluded atoms carrying [code] at position [i].  A predicate name may
+   occur at several arities and the position maps do not separate them,
+   so the test checks the atom is long enough. *)
+let rec ex_at ex i code j acc =
+  if j >= Array.length ex then acc
+  else
+    let args = ex.(j).Flat.args in
+    let hit = i < Array.length args && args.(i) = code in
+    ex_at ex i code (j + 1) (if hit then acc + 1 else acc)
+
+(* [findex_select] over adjusted cardinalities — same position order,
+   strict-improvement rule and zero short-cut — returning the winning
+   position ([-1] for the predicate bucket) when [want_pos], else its
+   adjusted cardinality. *)
+let rec view_select vf fargs bind want_pos i best bestn =
+  if i >= Array.length fargs || bestn = 0 then if want_pos then best else bestn
+  else
+    let a = fargs.(i) in
+    let code = if a >= 0 then a else bind.(lnot a) in
+    let n =
+      if code = Flat.no_code then bestn
+      else
+        let b = pos_bucket vf.vf_fi.f_pi i code in
+        if vf.vf_mask land code_bit code = 0 then b.n
+        else b.n - ex_at vf.vf_ex i code 0 0
+    in
+    if n < bestn then view_select vf fargs bind want_pos (i + 1) i n
+    else view_select vf fargs bind want_pos (i + 1) best bestn
+
+let view_count vf ~fargs ~bind =
+  if !use_indexes then view_select vf fargs bind false 0 (-1) vf.vf_all
+  else vf.vf_card
+
+let view_items vf ~fargs ~bind =
+  let pi = vf.vf_fi.f_pi in
+  if !use_indexes then
+    let i = view_select vf fargs bind true 0 (-1) vf.vf_all in
+    if i < 0 then pi.all.items
+    else
+      let a = fargs.(i) in
+      (pos_bucket pi i (if a >= 0 then a else bind.(lnot a))).items
+  else fall_entries vf.vf_fi.f_ins
 
 (* Boxed front-end to the same selection, for the reference solver and
    direct index queries: the pattern is encoded per call (constants that

@@ -21,7 +21,9 @@
     flat view ({!fentry}, {!findex}, {!findex_count}, {!findex_items},
     {!term_of_code}) exposes both representations of each stored atom so
     {!Hom.solve} can match on codes and still emit hint-exact boxed
-    substitutions. *)
+    substitutions.  Exclusion views ({!view}) let the fold searches ask
+    "this instance minus the atoms of these terms" without building
+    that instance. *)
 
 open Syntax
 
@@ -131,6 +133,47 @@ val findex_items : findex -> fargs:int array -> bind:int array -> fentry list
     the same atoms, in the same order, as the boxed {!candidates} on the
     equivalent pattern.  Honours {!use_indexes} (off: all entries,
     sorted by {!Syntax.Atom.compare}). *)
+
+type view
+(** An exclusion view: an instance minus the atoms containing one of a
+    few terms, answered from the instance's own index instead of a
+    {!remove_atoms} copy (DESIGN.md §9).  Bucket cardinalities are
+    adjusted by the excluded atoms each bucket holds, so selection over
+    the view sees the counts of the copy; bucket items are the base
+    instance's, and a solver skips the entries {!view_excludes}
+    flags. *)
+
+val excluding : t -> Term.t list -> view
+(** [excluding ins ts] is the view of [ins] minus every atom containing
+    a term of [ts].  Costs the size of those atoms' by-term buckets. *)
+
+val view_excluded : view -> int
+(** Number of distinct atoms the view hides (0: the view is [ins]). *)
+
+val view_cardinal : view -> int
+(** [cardinal] of the equivalent {!remove_atoms} copy. *)
+
+val view_excludes : view -> fentry -> bool
+(** Whether the view hides this entry.  Allocation-free. *)
+
+type vfindex
+(** A {!findex} under a view: the handle of one predicate, resolved
+    once per predicate per solve call, with that predicate's excluded
+    atoms. *)
+
+val view_findex : view -> pred:int -> vfindex
+(** The handle for the interned predicate id [pred] in the view's base
+    instance.  Costs a pass over the view's excluded atoms. *)
+
+val view_count : vfindex -> fargs:int array -> bind:int array -> int
+(** {!findex_count} of the equivalent {!remove_atoms} copy.  An
+    O(|excluded atoms of the predicate|) scan per bound position whose
+    code those atoms may carry; allocation-free. *)
+
+val view_items : vfindex -> fargs:int array -> bind:int array -> fentry list
+(** The base-instance items of the bucket {!view_count} measured.  With
+    the entries {!view_excludes} flags skipped, these are the
+    {!findex_items} of the {!remove_atoms} copy, in the same order. *)
 
 val term_of_code : t -> int -> Term.t option
 (** A boxed witness of the given code among the instance's atoms:

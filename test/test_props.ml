@@ -20,7 +20,9 @@
        Atom.equal, flat equal/compare/hash agree with the boxed ones,
        flat substitution application agrees with Subst.apply_atom, and
        the flat solver — and through it every chase engine — is
-       observationally identical to the boxed reference;
+       observationally identical to the boxed reference, and a search
+       through an exclusion view is the search into the remove_atoms
+       copy it stands for;
      - the analyzer (DESIGN.md §13) respects the class-implication
        lattice on random KBs, never certifies termination the
        restricted chase does not deliver, and rejects every near-miss
@@ -625,6 +627,185 @@ let flat_solver_agrees c =
   List.length flat = List.length boxed && List.for_all2 Subst.equal flat boxed
 
 (* ------------------------------------------------------------------ *)
+(* Law 11b: an exclusion view is the [remove_atoms] copy it stands for
+   (DESIGN.md §9).  [Hom.find ~compiled ~exclude:ts src tgt] returns the
+   witness — hints included — and the hom counters of [Hom.find src]
+   into [tgt] minus the atoms containing [ts], under both solvers and
+   with the indexes on or off.  One compiled source serves every
+   exclusion set and every copy, and equals a fresh compile per call; a
+   source compiled from another atomset is not used for [src].
+   The predicate [e] occurs at arities 1 and 2, so the views'
+   per-position count adjustment meets atoms too short for the position
+   it counts. *)
+
+type view_case = {
+  v_src : Atom.t list;  (** [[]]: the source is the target (a fold) *)
+  v_tgt : Atom.t list;
+  v_seed : (Term.t * Term.t) list;
+  v_inj : bool;
+  v_excl : Term.t list list;
+}
+
+let view_terms =
+  List.init 5 (fun i -> Term.var_of_id ~hint:"N" (924_000 + i))
+  @ [ Term.const "vc0"; Term.const "vc1" ]
+
+(* never in any target: excluding it hides nothing *)
+let absent_term = Term.var_of_id ~hint:"Z" 924_999
+
+let view_src_vars = List.init 4 (fun i -> Term.var_of_id ~hint:"S" (925_000 + i))
+
+let gen_view_atom rng terms =
+  match int_in rng 0 4 with
+  | 0 -> Atom.make "e" [ pick rng terms ]
+  | 1 | 2 -> Atom.make "e" [ pick rng terms; pick rng terms ]
+  | 3 -> Atom.make "f" [ pick rng terms; pick rng terms; pick rng terms ]
+  | _ -> Atom.make "g" [ pick rng terms ]
+
+let view_case : view_case arbitrary =
+  {
+    gen =
+      (fun rng ->
+        let tgt =
+          List.init (int_in rng 1 14) (fun _ -> gen_view_atom rng view_terms)
+        in
+        let fold = Random.State.bool rng in
+        let src =
+          if fold then []
+          else
+            List.init (int_in rng 1 4) (fun _ ->
+                gen_view_atom rng (view_src_vars @ [ Term.const "vc0" ]))
+        in
+        let src_vars =
+          if fold then Atomset.vars (Atomset.of_list tgt) else view_src_vars
+        in
+        let seed =
+          List.filter_map
+            (fun x ->
+              if int_in rng 0 3 = 0 then
+                Some (x, if fold then x else pick rng view_terms)
+              else None)
+            src_vars
+        in
+        let excl () =
+          List.init (int_in rng 1 3) (fun _ ->
+              if int_in rng 0 7 = 0 then absent_term else pick rng view_terms)
+        in
+        {
+          v_src = src;
+          v_tgt = tgt;
+          v_seed = seed;
+          v_inj = int_in rng 0 3 = 0;
+          v_excl = List.init (int_in rng 1 3) (fun _ -> excl ());
+        });
+    shrink =
+      (fun c ->
+        List.map (fun t -> { c with v_tgt = t }) (without_each c.v_tgt)
+        @ List.map (fun s -> { c with v_src = s }) (without_each c.v_src)
+        @ List.map (fun x -> { c with v_excl = x }) (without_each c.v_excl)
+        @ List.map (fun b -> { c with v_seed = b }) (without_each c.v_seed));
+    print =
+      (fun c ->
+        Fmt.str "inj=%b src=%a tgt=%a seed=%a excl=%a" c.v_inj
+          Atomset.pp_verbose (Atomset.of_list c.v_src) Atomset.pp_verbose
+          (Atomset.of_list c.v_tgt) Subst.pp_debug (subst_of c.v_seed)
+          Fmt.(list ~sep:semi (brackets (list ~sep:comma Term.pp_debug)))
+          c.v_excl);
+  }
+
+let with_indexes on f =
+  let saved = !Homo.Instance.use_indexes in
+  Homo.Instance.use_indexes := on;
+  Fun.protect ~finally:(fun () -> Homo.Instance.use_indexes := saved) f
+
+(* the witness, hint-exact, and the hom counters the search moved *)
+let observed_find f =
+  let counter = Obs.Metrics.counter_value in
+  let calls = counter "hom.solve_calls" and bt = counter "hom.backtracks" in
+  let r = f () in
+  ( Option.map (Fmt.str "%a" Subst.pp_debug) r,
+    counter "hom.solve_calls" - calls,
+    counter "hom.backtracks" - bt )
+
+(* Below the solver: every bucket the view selects is the copy's.  Each
+   target and source atom, with each subset of its positions bound,
+   gets the copy's count and — hidden entries skipped — the copy's
+   items, in order.  Counting an [e/1] atom at position 1 of an [e/2]
+   pattern shows up here even where the search happens to hide it. *)
+let view_index_agrees atoms tgt ex copy =
+  let module I = Homo.Instance in
+  let v = I.excluding tgt ex in
+  let flats = List.map (fun (e : I.fentry) -> e.flat) in
+  List.for_all
+    (fun a ->
+      let fa = Flat.encode a in
+      let pred = Flat.pred fa and args = Flat.args fa in
+      let n = Array.length args in
+      (* position i reads slot i, bound to the atom's code or not *)
+      let fargs = Array.init n lnot in
+      let vf = I.view_findex v ~pred and fc = I.findex copy ~pred in
+      List.for_all
+        (fun mask ->
+          let bind =
+            Array.init (max n 1) (fun i ->
+                if i < n && mask land (1 lsl i) <> 0 then args.(i)
+                else Flat.no_code)
+          in
+          I.view_count vf ~fargs ~bind = I.findex_count fc ~fargs ~bind
+          && List.equal Flat.equal
+               (flats
+                  (List.filter
+                     (fun e -> not (I.view_excludes v e))
+                     (I.view_items vf ~fargs ~bind)))
+               (flats (I.findex_items fc ~fargs ~bind)))
+        (List.init (1 lsl n) Fun.id))
+    atoms
+
+let exclusion_view_agrees c =
+  let tgt_set = Atomset.of_list c.v_tgt in
+  let src = if c.v_src = [] then tgt_set else Atomset.of_list c.v_src in
+  let tgt = Homo.Instance.of_atomset tgt_set in
+  let seed = subst_of c.v_seed and injective = c.v_inj in
+  let compiled = Homo.Hom.compile src in
+  let other =
+    Homo.Hom.compile (Atomset.of_list [ Atom.make "g" [ Term.const "vc1" ] ])
+  in
+  let agree () =
+    List.for_all
+      (fun ex ->
+        let copy =
+          Homo.Instance.remove_atoms tgt
+            (List.concat_map (Homo.Instance.atoms_with_term tgt) ex)
+        in
+        let want =
+          observed_find (fun () -> Homo.Hom.find ~seed ~injective src copy)
+        in
+        view_index_agrees (c.v_tgt @ c.v_src) tgt ex copy
+        && want
+        = observed_find (fun () ->
+              Homo.Hom.find ~seed ~injective ~compiled ~exclude:ex src tgt)
+        && want
+           = observed_find (fun () ->
+                 Homo.Hom.find ~seed ~injective ~compiled src copy)
+        && want
+           = observed_find (fun () ->
+                 Homo.Hom.find ~seed ~injective ~exclude:ex src tgt)
+        && want
+           = observed_find (fun () ->
+                 Homo.Hom.find ~seed ~injective ~compiled:other ~exclude:ex src
+                   tgt))
+      c.v_excl
+  in
+  let saved = !Obs.Metrics.enabled in
+  Obs.Metrics.enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.enabled := saved)
+    (fun () ->
+      List.for_all
+        (fun (flat, idx) -> with_repr flat (fun () -> with_indexes idx agree))
+        [ (true, true); (true, false); (false, true); (false, false) ])
+
+(* ------------------------------------------------------------------ *)
 (* Law 12: every chase engine lands on the same final instance whether
    its hom searches run on the flat or the boxed representation —
    the end-to-end differential for the representation switch.  Fresh
@@ -1107,6 +1288,8 @@ let suites =
           flat_subst_agrees;
         check ~count:150 "flat solver = boxed solver (Hom.all)" hom_case
           flat_solver_agrees;
+        check ~count:300 "exclusion view = remove_atoms copy (Hom.find)"
+          view_case exclusion_view_agrees;
         check ~count:50 "chase engines invariant under hom repr" seed_arb
           engine_repr_invariant;
         check ~count:300 "analyzer respects the class lattice" seed_arb

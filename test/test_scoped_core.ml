@@ -7,7 +7,8 @@
    (b) generation stamps — content changes bump the epoch, no-ops do
        not, birth stamps track exactly the live atoms;
    (c) hom failure memo — failures are cached per epoch, hits are
-       counted, generation advance invalidates;
+       counted, generation advance invalidates, and the key (not the
+       epoch) tells exclusion views of one base apart;
    (d) differential runs — Scoped and Exhaustive scoping produce
        equivalent chases on staircase/elevator prefixes and random KBs,
        and Audit mode (which raises on any core disagreement) passes
@@ -258,6 +259,40 @@ let test_memo_successes_cached () =
       Alcotest.(check int) "and not a miss" 2
         (counter_value "hom.memo_misses"))
 
+(* The fold searches ask every question of one base index through
+   exclusion views, keyed under the base's epoch: the key must name the
+   excluded terms, since the epoch alone does not.  Two keys for two
+   exclusions get two answers; a key reused with another exclusion
+   replays the first answer — the caller-side contract of [~memo]. *)
+let test_memo_key_determines_exclude () =
+  Homo.Hom.memo_clear ();
+  let a = Term.const "a" and b = Term.const "b" in
+  let z = Term.fresh_var ~hint:"Z" () in
+  let src = Atomset.of_list [ atom "p" [ z ] ] in
+  let tgt =
+    Homo.Instance.of_atomset (Atomset.of_list [ atom "p" [ a ]; atom "p" [ b ] ])
+  in
+  let epoch = Homo.Instance.generation tgt in
+  let compiled = Homo.Hom.compile src in
+  let image r = Option.map (fun s -> Subst.apply_term s z) r in
+  let find key ex =
+    Homo.Hom.find ~memo:([| 99; key |], epoch) ~compiled ~exclude:[ ex ] src tgt
+  in
+  with_metrics (fun () ->
+      let without_a = find 4 a in
+      Alcotest.(check (option string)) "minus p(a): z -> b" (Some "b")
+        (Option.map (Fmt.str "%a" Term.pp) (image without_a));
+      Alcotest.(check bool) "same key, same exclusion: a hit" true
+        (find 4 a = without_a);
+      Alcotest.(check int) "one hit" 1 (counter_value "hom.memo_hits");
+      let without_b = find 5 b in
+      Alcotest.(check (option string)) "other key, minus p(b): z -> a" (Some "a")
+        (Option.map (Fmt.str "%a" Term.pp) (image without_b));
+      Alcotest.(check int) "a miss per key" 2 (counter_value "hom.memo_misses");
+      Alcotest.(check bool) "a key reused with another exclusion replays" true
+        (find 4 b = without_a);
+      Alcotest.(check int) "as a hit" 2 (counter_value "hom.memo_hits"))
+
 (* ------------------------------------------------------------------ *)
 (* (d) differential runs: Scoped ≡ Exhaustive, Audit everywhere *)
 
@@ -373,6 +408,8 @@ let suites =
           test_memo_disabled_bypasses;
         Alcotest.test_case "successes cached and revalidated" `Quick
           test_memo_successes_cached;
+        Alcotest.test_case "memo key determines the exclusion" `Quick
+          test_memo_key_determines_exclude;
       ] );
     ( "scoped_core.differential",
       [
