@@ -7,7 +7,6 @@ module Trigger = Trigger
 module Derivation = Derivation
 module Datalog = Datalog
 module Variants = Variants
-module Checkpoint = Checkpoint
 
 open Syntax
 

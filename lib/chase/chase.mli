@@ -14,8 +14,6 @@ module Datalog : module type of Datalog
 
 module Variants : module type of Variants
 
-module Checkpoint : module type of Checkpoint
-
 open Syntax
 
 type variant = Oblivious | Skolem | Restricted | Frugal | Core

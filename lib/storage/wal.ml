@@ -102,16 +102,6 @@ let warn t fmt =
     (fun m -> if not t.quiet then Fmt.epr "corechase: wal: %s@." m)
     fmt
 
-(* A path looks like a WAL directory: used by `corechase resume` to
-   hint at --wal when handed one in the text-checkpoint position. *)
-let looks_like_wal_dir path =
-  Sys.file_exists path && Sys.is_directory path
-  && Array.exists
-       (fun n ->
-         parse_numbered ~prefix:"wal-" ~suffix:".xlog" n <> None
-         || parse_numbered ~prefix:"snap-" ~suffix:".snap" n <> None)
-       (try Sys.readdir path with Sys_error _ -> [||])
-
 (* ---------------------------------------------------------------- *)
 (* Open: scan the directory, classify torn vs corrupt, position the
    writer after the last durable record. *)
@@ -699,31 +689,5 @@ let checkpoint_hook t ~engine ?kb_path ?kb_digest ~budget () :
   maybe_snapshot t (fun () ->
       chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget st)
 
-let import_state t ~engine ?kb_path ?kb_digest ~budget st =
-  if not (is_empty t) then
-    Error (t.dir ^ ": WAL directory already holds a log")
-  else begin
-    let records = chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget st in
-    let snapshot_lost =
-      (* engine-produced states always index their pre-round snapshot at
-         some derivation prefix; a state that does not cannot be replayed
-         exactly, so refuse rather than resume with a silently different
-         discovery delta *)
-      st.Chase.Variants.state_snapshot <> None
-      && List.exists
-           (function
-             | Record.Round { snapshot_index; _ } -> snapshot_index < 0
-             | _ -> false)
-           records
-    in
-    if snapshot_lost then
-      Error
-        (t.dir
-       ^ ": the state's discovery snapshot matches no derivation prefix; \
-          importing it would not resume exactly")
-    else begin
-      List.iter (append t) records;
-      do_sync t;
-      Ok ()
-    end
-  end
+let digest_of_file path =
+  try Some (Digest.to_hex (Digest.file path)) with Sys_error _ -> None

@@ -1,7 +1,10 @@
 (* Tests for lib/resilience and its threading through the chase engines
    (DESIGN.md §11): budget boundary conditions, deadlines, cancellation,
    caught resource exhaustion, the hom depth guard, deterministic fault
-   injection, and the checkpoint/resume exactness differential. *)
+   injection, the engine-level kill/resume exactness differential, and
+   resuming a budget-stopped run from its write-ahead log.  The WAL's
+   on-disk kill/resume differential lives in test_storage.ml
+   (DESIGN.md §16). *)
 
 open Syntax
 
@@ -30,6 +33,7 @@ type runner = {
     ?token:Resilience.Token.t ->
     ?resume:Chase.Variants.engine_state ->
     ?checkpoint:(Chase.Variants.engine_state -> unit) ->
+    ?journal:Chase.Variants.journal ->
     budget:Chase.Variants.budget ->
     Kb.t ->
     Chase.Variants.run;
@@ -40,27 +44,28 @@ let runners =
     {
       ename = "restricted";
       erun =
-        (fun ?token ?resume ?checkpoint ~budget kb ->
-          Chase.Variants.restricted ~budget ?token ?resume ?checkpoint kb);
+        (fun ?token ?resume ?checkpoint ?journal ~budget kb ->
+          Chase.Variants.restricted ~budget ?token ?resume ?checkpoint
+            ?journal kb);
     };
     {
       ename = "frugal";
       erun =
-        (fun ?token ?resume ?checkpoint ~budget kb ->
-          Chase.Variants.frugal ~budget ?token ?resume ?checkpoint kb);
+        (fun ?token ?resume ?checkpoint ?journal ~budget kb ->
+          Chase.Variants.frugal ~budget ?token ?resume ?checkpoint ?journal kb);
     };
     {
       ename = "core-app";
       erun =
-        (fun ?token ?resume ?checkpoint ~budget kb ->
-          Chase.Variants.core ~budget ?token ?resume ?checkpoint kb);
+        (fun ?token ?resume ?checkpoint ?journal ~budget kb ->
+          Chase.Variants.core ~budget ?token ?resume ?checkpoint ?journal kb);
     };
     {
       ename = "core-round";
       erun =
-        (fun ?token ?resume ?checkpoint ~budget kb ->
+        (fun ?token ?resume ?checkpoint ?journal ~budget kb ->
           Chase.Variants.core ~cadence:Chase.Variants.Every_round ~budget
-            ?token ?resume ?checkpoint kb);
+            ?token ?resume ?checkpoint ?journal kb);
     };
   ]
 
@@ -268,101 +273,9 @@ let test_outcome_names () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint file round trip *)
-
-let test_checkpoint_roundtrip () =
-  reset ();
-  let kb = kb_chain () in
-  let states = ref [] in
-  let (_ : Chase.Variants.run) =
-    Chase.Variants.restricted ~budget:small
-      ~checkpoint:(fun st -> states := st :: !states)
-      kb
-  in
-  Alcotest.(check bool) "some rounds completed" true (!states <> []);
-  let state = List.hd !states in
-  let path = Filename.temp_file "corechase" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Chase.Checkpoint.save ~path ~engine:"restricted" ~budget:small state;
-      match Chase.Checkpoint.load kb path with
-      | Error m -> Alcotest.fail m
-      | Ok (header, budget, state') ->
-          Alcotest.(check string) "engine" "restricted"
-            header.Chase.Checkpoint.engine;
-          Alcotest.(check int) "max_steps" small.Chase.Variants.max_steps
-            budget.Chase.Variants.max_steps;
-          Alcotest.(check int) "steps done" state.Chase.Variants.state_steps
-            state'.Chase.Variants.state_steps;
-          Alcotest.(check int) "rounds done" state.Chase.Variants.state_rounds
-            state'.Chase.Variants.state_rounds;
-          let d = state.Chase.Variants.state_derivation
-          and d' = state'.Chase.Variants.state_derivation in
-          Alcotest.(check int) "derivation length"
-            (Chase.Derivation.length d)
-            (Chase.Derivation.length d');
-          List.iter2
-            (fun (a : Chase.Derivation.step) (b : Chase.Derivation.step) ->
-              Alcotest.(check bool) "instances equal" true
-                (Atomset.equal a.Chase.Derivation.instance
-                   b.Chase.Derivation.instance);
-              Alcotest.(check bool) "pre-instances equal" true
-                (Atomset.equal a.Chase.Derivation.pre_instance
-                   b.Chase.Derivation.pre_instance);
-              Alcotest.(check bool) "simplifications equal" true
-                (Subst.equal a.Chase.Derivation.simplification
-                   b.Chase.Derivation.simplification))
-            (Chase.Derivation.steps d)
-            (Chase.Derivation.steps d');
-          match
-            ( state.Chase.Variants.state_snapshot,
-              state'.Chase.Variants.state_snapshot )
-          with
-          | Some s, Some s' ->
-              Alcotest.(check bool) "snapshots equal" true (Atomset.equal s s')
-          | None, None -> ()
-          | _ -> Alcotest.fail "snapshot presence differs")
-
-let test_checkpoint_bad_inputs () =
-  reset ();
-  let kb = kb_chain () in
-  (match Chase.Checkpoint.load kb "/nonexistent/corechase.ckpt" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected an error for a missing file");
-  let path = Filename.temp_file "corechase" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a checkpoint\n";
-      close_out oc;
-      (match Chase.Checkpoint.load kb path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "expected an error for garbage");
-      let oc = open_out path in
-      output_string oc "CORECHASE-CHECKPOINT 999\nengine restricted\n";
-      close_out oc;
-      match Chase.Checkpoint.load kb path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "expected a version error")
-
-(* ------------------------------------------------------------------ *)
-(* Kill/resume differential: for every engine and workload, a run killed
-   by an injected fault and resumed from its last on-disk checkpoint
-   must agree step for step with the uninterrupted run — same
-   derivation, same final instance, same outcome.  Exercised at jobs=1
-   and jobs=4 (the deterministic pool keeps runs identical). *)
-
-let diff_budget = { Chase.Variants.max_steps = 30; max_atoms = 5_000 }
-
-let workloads =
-  [
-    ("transitive-closure", Zoo.Classic.transitive_closure);
-    ("staircase", Zoo.Staircase.kb);
-    ("elevator", Zoo.Elevator.kb);
-    ("randomkb", fun () -> Zoo.Randomkb.generate ~seed:7 Zoo.Randomkb.datalog);
-  ]
+(* Resuming a budget-stopped run from its write-ahead log with a larger
+   budget continues it to exactly the run the larger budget produces
+   from scratch *)
 
 let same_run label (a : Chase.Variants.run) (b : Chase.Variants.run) =
   Alcotest.(check bool)
@@ -397,45 +310,106 @@ let same_run label (a : Chase.Variants.run) (b : Chase.Variants.run) =
     (Chase.Derivation.steps da)
     (Chase.Derivation.steps db)
 
+let open_wal label dir =
+  match Storage.Wal.open_dir ~quiet:true dir with
+  | Ok w -> w
+  | Error m -> Alcotest.fail (label ^ ": " ^ m)
+
+let test_resume_after_clean_budget_stop () =
+  let big = { Chase.Variants.max_steps = 24; max_atoms = 5_000 } in
+  List.iter
+    (fun r ->
+      reset ();
+      let reference = r.erun ~budget:big (Zoo.Staircase.kb ()) in
+      reset ();
+      let dir = Filename.temp_file "corechase" ".wal" in
+      Sys.remove dir;
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter
+            (fun n -> Sys.remove (Filename.concat dir n))
+            (try Sys.readdir dir with Sys_error _ -> [||]);
+          try Unix.rmdir dir with Unix.Unix_error _ -> ())
+        (fun () ->
+          (let w = open_wal r.ename dir in
+           let journal =
+             Storage.Wal.journal w ~engine:r.ename ~budget:small ()
+           in
+           let (_ : Chase.Variants.run) =
+             r.erun ~budget:small ~journal (Zoo.Staircase.kb ())
+           in
+           Storage.Wal.close w);
+          (* a fresh "process": counters reset and the KB rebuilt before
+             the log is replayed (recover re-pins the counters) *)
+          reset ();
+          let kb3 = Zoo.Staircase.kb () in
+          let w = open_wal r.ename dir in
+          let recovered =
+            match Storage.Wal.recover w kb3 with
+            | Ok v -> v
+            | Error m -> Alcotest.fail (r.ename ^ ": " ^ m)
+          in
+          Alcotest.(check bool)
+            (r.ename ^ ": a round is durable") true
+            (recovered.Storage.Wal.r_state <> None);
+          let journal =
+            Storage.Wal.journal w ~engine:r.ename ~budget:big
+              ~durable:recovered.Storage.Wal.r_durable ()
+          in
+          let resumed =
+            r.erun ~budget:big ?resume:recovered.Storage.Wal.r_state ~journal
+              kb3
+          in
+          Storage.Wal.close w;
+          same_run (r.ename ^ "/staircase-extend") reference resumed))
+    runners
+
+(* ------------------------------------------------------------------ *)
+(* Kill/resume differential at the engine boundary: for every engine and
+   workload, a run killed by an injected fault and resumed from the last
+   round-boundary state its [?checkpoint] hook handed out must agree
+   step for step with the uninterrupted run.  No storage layer is
+   involved: this pins the engines' resume contract itself (a handed-out
+   [engine_state] plus the freshness counter at that boundary is a
+   complete resume point); the WAL's on-disk version of the same
+   differential lives in test_storage.ml.  Exercised at jobs=1 and
+   jobs=4 (the deterministic pool keeps runs identical). *)
+
+let diff_budget = { Chase.Variants.max_steps = 30; max_atoms = 5_000 }
+
+let diff_workloads =
+  [
+    ("transitive-closure", Zoo.Classic.transitive_closure);
+    ("staircase", Zoo.Staircase.kb);
+    ("elevator", Zoo.Elevator.kb);
+    ("randomkb", fun () -> Zoo.Randomkb.generate ~seed:7 Zoo.Randomkb.datalog);
+  ]
+
 (* One kill/resume round trip: reference run; a run with [spec] faults
-   armed and a checkpoint hook persisting every completed round; then —
-   simulating a fresh process — counters reset, KB rebuilt, checkpoint
-   reloaded and the run resumed.  If the fault never fired (the workload
-   stopped first), the killed run itself must already equal the
-   reference. *)
+   armed whose checkpoint hook keeps the latest boundary state and the
+   counter value there; then the counter is wound back to that boundary
+   (discarding every null the killed run minted past it) and the run
+   resumed.  If no boundary was reached (the workload stopped first),
+   the killed run itself must already equal the reference. *)
 let differential ~spec r (wname, build) =
   let label = Printf.sprintf "%s/%s[%s]" r.ename wname spec in
   reset ();
   let reference = r.erun ~budget:diff_budget (build ()) in
   reset ();
   let kb2 = build () in
-  let path = Filename.temp_file "corechase" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let wrote = ref false in
-      let killed =
-        with_faults spec (fun () ->
-            r.erun ~budget:diff_budget
-              ~checkpoint:(fun st ->
-                wrote := true;
-                Chase.Checkpoint.save ~path ~engine:r.ename
-                  ~budget:diff_budget st)
-              kb2)
-      in
-      if not !wrote then same_run label reference killed
-      else begin
-        (* fresh "process": counters reset, the KB re-parsed the same
-           deterministic way, then the checkpoint reloaded (which
-           re-pins the freshness counters) before any new term exists *)
-        reset ();
-        let kb3 = build () in
-        match Chase.Checkpoint.load kb3 path with
-        | Error m -> Alcotest.fail (label ^ ": " ^ m)
-        | Ok (_, budget, state) ->
-            let resumed = r.erun ~budget ~resume:state kb3 in
-            same_run label reference resumed
-      end)
+  let last = ref None in
+  let killed =
+    with_faults spec (fun () ->
+        r.erun ~budget:diff_budget
+          ~checkpoint:(fun st -> last := Some (st, Term.counter_value ()))
+          kb2)
+  in
+  match !last with
+  | None -> same_run label reference killed
+  | Some (state, counter) ->
+      Term.restore_counter_for_resume counter;
+      let resumed = r.erun ~budget:diff_budget ~resume:state kb2 in
+      same_run label reference resumed
 
 let differential_all () =
   List.iter
@@ -445,7 +419,7 @@ let differential_all () =
           (* a clean round-boundary kill and a mid-round one *)
           differential ~spec:"round:3:cancel" r w;
           differential ~spec:"step:7:out_of_memory" r w)
-        workloads)
+        diff_workloads)
     runners
 
 let test_kill_resume_differential_jobs1 () =
@@ -453,37 +427,6 @@ let test_kill_resume_differential_jobs1 () =
 
 let test_kill_resume_differential_jobs4 () =
   Par.with_jobs 4 differential_all
-
-(* resuming a budget-stopped run with a larger budget continues it to
-   exactly the run the larger budget produces from scratch *)
-let test_resume_after_clean_budget_stop () =
-  let big = { Chase.Variants.max_steps = 24; max_atoms = 5_000 } in
-  List.iter
-    (fun r ->
-      reset ();
-      let reference = r.erun ~budget:big (Zoo.Staircase.kb ()) in
-      reset ();
-      let path = Filename.temp_file "corechase" ".ckpt" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          let wrote = ref false in
-          let (_ : Chase.Variants.run) =
-            r.erun ~budget:small
-              ~checkpoint:(fun st ->
-                wrote := true;
-                Chase.Checkpoint.save ~path ~engine:r.ename ~budget:small st)
-              (Zoo.Staircase.kb ())
-          in
-          Alcotest.(check bool) (r.ename ^ ": checkpoints seen") true !wrote;
-          reset ();
-          let kb3 = Zoo.Staircase.kb () in
-          match Chase.Checkpoint.load kb3 path with
-          | Error m -> Alcotest.fail (r.ename ^ ": " ^ m)
-          | Ok (_, _, state) ->
-              let resumed = r.erun ~budget:big ~resume:state kb3 in
-              same_run (r.ename ^ "/staircase-extend") reference resumed))
-    runners
 
 (* ------------------------------------------------------------------ *)
 (* resilience metrics are recorded at the boundary *)
@@ -531,8 +474,6 @@ let suites =
     ( "resilience.checkpoint",
       [
         tc "outcome names round trip" test_outcome_names;
-        tc "file round trip" test_checkpoint_roundtrip;
-        tc "bad inputs are errors" test_checkpoint_bad_inputs;
         tc "resume extends a budget stop" test_resume_after_clean_budget_stop;
       ] );
     ( "resilience.differential",
