@@ -49,10 +49,10 @@ let grid4 =
   done;
   Atomset.of_list !atoms
 
-let tc_chain_kb =
+let tc_chain n =
   let atom p args = Atom.make p args in
   let facts =
-    List.init 40 (fun i ->
+    List.init n (fun i ->
         atom "e" [ Term.const (Printf.sprintf "n%d" i);
                    Term.const (Printf.sprintf "n%d" (i + 1)) ])
   in
@@ -62,6 +62,8 @@ let tc_chain_kb =
     ~rules:[ Rule.make ~name:"trans"
                ~body:[ atom "e" [ x; y ]; atom "e" [ y; z ] ]
                ~head:[ atom "e" [ x; z ] ] () ]
+
+let tc_chain_kb = tc_chain 40
 
 let staircase_atoms_list = Atomset.to_list staircase_prefix.Zoo.Staircase.atoms
 
@@ -384,6 +386,61 @@ let collect_counters () =
       (name, counters))
     counter_workloads
 
+(* Per-step allocation (DESIGN.md §12, "a step costs its delta"): a
+   restricted chase of a transitive-closure chain, run once with the
+   metrics registry on, reporting the minor words per applied step that
+   neither discovery ([trigger.minor_words]) nor the hom search
+   ([hom.minor_words]) accounts for — the engine's own bookkeeping:
+   application, derivation extension, index patching.  Deterministic,
+   so the two sizes are exact figures.  A step that rebuilds the whole
+   instance allocates in proportion to it, and the larger chain's row
+   grows with its instance; one that costs its delta stays flat (the
+   --step-gate of scripts/bench_compare.py).  Discovery's own hom
+   searches count in both counters; [trigger.hom_minor_words] holds
+   that share, so it is added back once. *)
+let step_sizes = [ 20; 40 ]
+
+let step_row n =
+  let kb = tc_chain n in
+  let budget = { Chase.Variants.max_steps = 100_000; max_atoms = 100_000 } in
+  Corechase.Obs.Metrics.reset ();
+  Corechase.Obs.Metrics.enabled := true;
+  let w0 = Gc.minor_words () in
+  let run =
+    Fun.protect
+      ~finally:(fun () -> Corechase.Obs.Metrics.enabled := false)
+      (fun () -> Chase.Variants.restricted ~budget kb)
+  in
+  let total = Gc.minor_words () -. w0 in
+  let c name = float_of_int (Corechase.Obs.Metrics.counter_value name) in
+  let steps = Chase.Derivation.length run.Chase.Variants.derivation - 1 in
+  let words =
+    (* discovery's nested hom searches sit in both counters; add that
+       share back once *)
+    (total -. c "trigger.minor_words" -. c "hom.minor_words"
+    +. c "trigger.hom_minor_words")
+    /. float_of_int (max 1 steps)
+  in
+  (Printf.sprintf "corechase step:tc-chain-%d" n, words, steps)
+
+let run_steps () =
+  let sizes =
+    List.filter
+      (fun n -> matches_only (Printf.sprintf "step:tc-chain-%d" n))
+      step_sizes
+  in
+  if sizes = [] then []
+  else begin
+    Format.printf "@.=== per-step allocation (minor words per applied step, \
+                   outside trigger/hom) ===@.";
+    List.map
+      (fun n ->
+        let name, words, steps = step_row n in
+        Format.printf "  %-44s %14.1f words/step (%d steps)@." name words steps;
+        (name, words))
+      sizes
+  end
+
 let run_micro () =
   if micro_tests = [] then []
   else
@@ -551,6 +608,7 @@ let () =
   let thr_estimates, thr_identical =
     if skip_timed then ([], true) else run_throughput ()
   in
+  let step_estimates = if skip_timed then [] else run_steps () in
   (* medians of the interleaved memo reps land under the canonical
      names the gates compare (see the memo comment above) *)
   let median3 vs =
@@ -577,7 +635,7 @@ let () =
   let estimates =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (estimates @ memo_medians @ thr_estimates)
+      (estimates @ memo_medians @ thr_estimates @ step_estimates)
   in
   write_results ~estimates ~counters;
   (* Memo bookkeeping (DESIGN.md §12): the result memo must help on its

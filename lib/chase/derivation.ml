@@ -181,13 +181,28 @@ let validate d =
   in
   go None (steps d)
 
+(* One walk down [rev_steps] (newest first): skip the steps after [to_],
+   collect the non-empty σ of steps [from_+1 .. to_] (oldest ends up
+   first), then compose them in index order.  Empty σ are skipped —
+   composing with the identity changes nothing — so a monotone prefix
+   costs its length in pointer hops and no [Subst] work at all. *)
 let sigma_trace d ~from_ ~to_ =
   if from_ > to_ then invalid_arg "Derivation.sigma_trace: from_ > to_";
-  let rec go i acc =
-    if i > to_ then acc
-    else go (i + 1) (Subst.compose (step d i).simplification acc)
+  if from_ < to_ && (to_ >= d.len || from_ < -1) then
+    invalid_arg "Derivation.step: out of range";
+  let rec collect acc = function
+    | st :: rest when st.index > from_ ->
+        let acc =
+          if st.index > to_ || Subst.is_empty st.simplification then acc
+          else st.simplification :: acc
+        in
+        collect acc rest
+    | _ -> acc
   in
-  go (from_ + 1) Subst.empty
+  List.fold_left
+    (fun acc sigma -> Subst.compose sigma acc)
+    Subst.empty
+    (if from_ = to_ then [] else collect [] d.rev_steps)
 
 let natural_aggregation d =
   List.fold_left

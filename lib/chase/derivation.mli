@@ -83,7 +83,10 @@ val validate : t -> (unit, string) result
 
 val sigma_trace : t -> from_:int -> to_:int -> Subst.t
 (** Definition 2's [σ̄_i^j = σ_j • ⋯ • σ_{i+1}] ([from_ = i ≤ j = to_];
-    the identity when [i = j]). *)
+    the identity when [i = j]).  One walk of the prefix; identity steps
+    cost nothing.
+    @raise Invalid_argument if [from_ > to_], or if [from_ < to_] and a
+    step of [(from_, to_]] is out of range. *)
 
 val natural_aggregation : t -> Atomset.t
 (** [D* = ⋃_i F_i] over the prefix (Section 3). *)

@@ -14,6 +14,24 @@ let m_discoveries = Obs.Metrics.counter "chase.discoveries"
    only (pool workers' shares are part of their own samples). *)
 let m_minor_words = Obs.Metrics.counter "trigger.minor_words"
 
+(* The hom searches discovery runs count in [hom.minor_words] too; this
+   counter holds that nested share, so [trigger.minor_words] minus it is
+   discovery's own allocation and the two counters can be subtracted
+   from a run's total without counting a word twice (the bench's
+   per-step rows do). *)
+let m_hom_share = Obs.Metrics.counter "trigger.hom_minor_words"
+
+let count_discovery_words f =
+  if not !Obs.Metrics.enabled then f ()
+  else begin
+    let h0 = Obs.Metrics.counter_value "hom.minor_words" in
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.add m_hom_share
+          (Obs.Metrics.counter_value "hom.minor_words" - h0))
+      (fun () -> Obs.Metrics.count_minor_words m_minor_words f)
+  end
+
 (* Mapping keys (DESIGN.md §12): a substitution flattened to interned
    codes, [(rank, code)] pairs in rank order ([Subst.to_list] is sorted),
    prefixed with a kind tag and the rule id where the key names a
@@ -31,22 +49,71 @@ let mapping_key ~tag ~rid mapping =
     bindings;
   key
 
-type t = { rule : Rule.t; mapping : Subst.t }
+(* Rule plans (DESIGN.md §12, "a step costs its delta"): everything a
+   trigger question needs from its rule, computed once per engine run
+   instead of once per question — the universal and frontier variables,
+   the existential ones, the body compiled for discovery, and
+   [body ∪ head] with its compiled form for the satisfaction check.  A
+   plan is a plain immutable value built from [Kb.rules] when a run
+   starts; triggers found through it carry it, so it lives exactly as
+   long as the run's triggers do.  There is deliberately no global
+   table keyed by [Rule.id]: one process chases many KBs (a batch, the
+   serve daemon's sessions), and such a table would keep every rule
+   ever seen alive. *)
+type plan = {
+  p_rule : Rule.t;
+  p_universal : Term.t list;
+  p_frontier : Term.t list;
+  p_existential : Term.t list;
+  p_body : Homo.Hom.compiled;  (** compiled [Rule.body p_rule] *)
+  p_bh : Atomset.t;  (** [body ∪ head] *)
+  p_bh_c : Homo.Hom.compiled;  (** compiled [p_bh] *)
+}
+
+let plan r =
+  let bh = Atomset.union (Rule.body r) (Rule.head r) in
+  {
+    p_rule = r;
+    p_universal = Rule.universal_vars r;
+    p_frontier = Rule.frontier r;
+    p_existential = Rule.existential_vars r;
+    p_body = Homo.Hom.compile (Rule.body r);
+    p_bh = bh;
+    p_bh_c = Homo.Hom.compile bh;
+  }
+
+let plans rules = List.map plan rules
+
+type t = { rule : Rule.t; mapping : Subst.t; plan : plan option }
 
 let make rule mapping =
-  { rule; mapping = Subst.restrict (Rule.universal_vars rule) mapping }
+  {
+    rule;
+    mapping = Subst.restrict (Rule.universal_vars rule) mapping;
+    plan = None;
+  }
+
+let make_planned p mapping =
+  {
+    rule = p.p_rule;
+    mapping = Subst.restrict p.p_universal mapping;
+    plan = Some p;
+  }
+
+let universal_vars tr =
+  match tr.plan with Some p -> p.p_universal | None -> Rule.universal_vars tr.rule
 
 let rule tr = tr.rule
 
 let mapping tr = tr.mapping
 
 let rename sigma tr =
-  {
-    tr with
-    mapping =
-      Subst.restrict (Rule.universal_vars tr.rule)
-        (Subst.compose sigma tr.mapping);
-  }
+  if Subst.is_empty sigma then tr
+  else
+    {
+      tr with
+      mapping = Subst.restrict (universal_vars tr) (Subst.compose sigma tr.mapping);
+    }
 
 let equal tr1 tr2 =
   Rule.equal tr1.rule tr2.rule && Subst.equal tr1.mapping tr2.mapping
@@ -56,8 +123,8 @@ let is_trigger_for tr inst =
 
 let is_trigger_for_in tr indexed =
   Atomset.for_all
-    (Homo.Instance.mem indexed)
-    (Subst.apply tr.mapping (Rule.body tr.rule))
+    (fun a -> Homo.Instance.mem indexed (Subst.apply_atom tr.mapping a))
+    (Rule.body tr.rule)
 
 let satisfied_in tr indexed =
   (* π extends to a homomorphism from B ∪ H into the instance.  Failed
@@ -66,12 +133,16 @@ let satisfied_in tr indexed =
      content, so re-checking the same trigger against an unchanged
      instance (engine re-check before the round's first firing, audit
      double discovery) costs a table lookup. *)
-  let src = Atomset.union (Rule.body tr.rule) (Rule.head tr.rule) in
+  let src, compiled =
+    match tr.plan with
+    | Some p -> (p.p_bh, Some p.p_bh_c)
+    | None -> (Atomset.union (Rule.body tr.rule) (Rule.head tr.rule), None)
+  in
   let memo =
     ( mapping_key ~tag:0 ~rid:(Rule.id tr.rule) tr.mapping,
       Homo.Instance.generation indexed )
   in
-  Homo.Hom.exists ~memo ~seed:tr.mapping src indexed
+  Homo.Hom.exists ~memo ?compiled ~seed:tr.mapping src indexed
 
 let satisfied tr inst = satisfied_in tr (Homo.Instance.of_atomset inst)
 
@@ -83,7 +154,12 @@ type application = {
 }
 
 let pi_safe_of tr =
-  let frontier_part = Subst.restrict (Rule.frontier tr.rule) tr.mapping in
+  let frontier, existential =
+    match tr.plan with
+    | Some p -> (p.p_frontier, p.p_existential)
+    | None -> (Rule.frontier tr.rule, Rule.existential_vars tr.rule)
+  in
+  let frontier_part = Subst.restrict frontier tr.mapping in
   let fresh = ref [] in
   let full =
     List.fold_left
@@ -91,8 +167,7 @@ let pi_safe_of tr =
         let nv = Term.fresh_var ~hint:(Term.hint z) () in
         fresh := nv :: !fresh;
         Subst.add z nv s)
-      frontier_part
-      (Rule.existential_vars tr.rule)
+      frontier_part existential
   in
   (full, List.rev !fresh)
 
@@ -129,10 +204,15 @@ let apply_with_pi_safe tr pi_safe inst =
   in
   apply_with tr pi_safe fresh inst
 
-let triggers_of r indexed =
-  let trs = List.map (fun h -> make r h) (Homo.Hom.all (Rule.body r) indexed) in
+let triggers_of_plan p indexed =
+  let trs =
+    List.map (make_planned p)
+      (Homo.Hom.all ~compiled:p.p_body (Rule.body p.p_rule) indexed)
+  in
   if !Obs.Metrics.enabled then Obs.Metrics.add m_enumerated (List.length trs);
   trs
+
+let triggers_of r indexed = triggers_of_plan (plan r) indexed
 
 (* Semi-naive discovery: every trigger for the current instance that was
    not a trigger at the previous snapshot must map some body atom onto an
@@ -140,14 +220,15 @@ let triggers_of r indexed =
    enumerate the body homomorphisms anchored on a delta atom.  The same
    homomorphism can be reached through several anchors; mappings are
    deduplicated per rule. *)
-let triggers_of_delta r indexed ~delta =
+let triggers_of_delta p indexed ~delta =
   if Atomset.is_empty delta then []
   else
-    let body = Rule.body r in
+    let body = Rule.body p.p_rule in
+    let rid = Rule.id p.p_rule in
     let seen = Hashtbl.create 16 in
     let collect acc h =
-      let tr = make r h in
-      let key = mapping_key ~tag:0 ~rid:(Rule.id r) tr.mapping in
+      let tr = make_planned p h in
+      let key = mapping_key ~tag:0 ~rid tr.mapping in
       if Hashtbl.mem seen key then acc
       else begin
         Hashtbl.replace seen key ();
@@ -166,7 +247,8 @@ let triggers_of_delta r indexed ~delta =
                 match Homo.Hom.extend_via_atom Subst.empty anchor datom with
                 | None -> acc
                 | Some seed ->
-                    List.fold_left collect acc (Homo.Hom.all ~seed body indexed)
+                    List.fold_left collect acc
+                      (Homo.Hom.all ~seed ~compiled:p.p_body body indexed)
               else acc)
             delta acc)
         body []
@@ -183,14 +265,14 @@ let triggers_of_delta r indexed ~delta =
    (the checks do, under per-trigger keys), so the trigger list, the
    enumeration counters and the memo totals are identical to the
    sequential nesting for every jobs count. *)
-let unsatisfied_triggers_in ?delta rules indexed =
-  let rule_triggers r =
+let unsatisfied_of_plans ?delta plans indexed =
+  let rule_triggers p =
     match delta with
-    | None -> triggers_of r indexed
-    | Some delta -> triggers_of_delta r indexed ~delta
+    | None -> triggers_of_plan p indexed
+    | Some delta -> triggers_of_delta p indexed ~delta
   in
   let candidates =
-    List.concat (Par.map ~site:"trigger.enumerate" rule_triggers rules)
+    List.concat (Par.map ~site:"trigger.enumerate" rule_triggers plans)
   in
   let satisfied =
     Par.map ~site:"trigger.satcheck"
@@ -200,6 +282,9 @@ let unsatisfied_triggers_in ?delta rules indexed =
   List.filter_map
     (fun (tr, sat) -> if sat then None else Some tr)
     (List.combine candidates satisfied)
+
+let unsatisfied_triggers_in ?delta rules indexed =
+  unsatisfied_of_plans ?delta (plans rules) indexed
 
 let unsatisfied_triggers rules inst =
   unsatisfied_triggers_in rules (Homo.Instance.of_atomset inst)
@@ -231,41 +316,43 @@ let observe_discovery ~what trs indexed =
          });
   trs
 
-let discover ?delta rules indexed =
+let discover ?delta plans indexed =
   let trs =
-    Obs.Metrics.count_minor_words m_minor_words (fun () ->
+    count_discovery_words (fun () ->
         match (!discovery, delta) with
-        | Snapshot, _ | _, None -> unsatisfied_triggers_in rules indexed
-        | Delta, Some delta -> unsatisfied_triggers_in ~delta rules indexed
+        | Snapshot, _ | _, None -> unsatisfied_of_plans plans indexed
+        | Delta, Some delta -> unsatisfied_of_plans ~delta plans indexed
         | Audit, Some delta ->
-            let snap = unsatisfied_triggers_in rules indexed in
-            let del = unsatisfied_triggers_in ~delta rules indexed in
+            let snap = unsatisfied_of_plans plans indexed in
+            let del = unsatisfied_of_plans ~delta plans indexed in
             if not (same_set snap del) then
               audit_failure ~what:"discover" snap del;
             snap)
   in
   observe_discovery ~what:"discover" trs indexed
 
-let discover_all ?delta rules indexed =
+let discover_all ?delta plans indexed =
   let snapshot () =
     List.concat
-      (Par.map ~site:"trigger.enumerate" (fun r -> triggers_of r indexed) rules)
+      (Par.map ~site:"trigger.enumerate"
+         (fun p -> triggers_of_plan p indexed)
+         plans)
   in
   let trs =
-    Obs.Metrics.count_minor_words m_minor_words (fun () ->
+    count_discovery_words (fun () ->
         match (!discovery, delta) with
         | Snapshot, _ | _, None -> snapshot ()
         | Delta, Some delta ->
             List.concat
               (Par.map ~site:"trigger.enumerate"
-                 (fun r -> triggers_of_delta r indexed ~delta)
-                 rules)
+                 (fun p -> triggers_of_delta p indexed ~delta)
+                 plans)
         | Audit, Some delta ->
             let snap = snapshot () in
             let del =
               List.concat_map
-                (fun r -> triggers_of_delta r indexed ~delta)
-                rules
+                (fun p -> triggers_of_delta p indexed ~delta)
+                plans
             in
             (* the delta set must be exactly the snapshot triggers whose
                body image touches the delta *)

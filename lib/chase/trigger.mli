@@ -9,7 +9,23 @@
 
 open Syntax
 
-type t = private { rule : Rule.t; mapping : Subst.t }
+type plan
+(** A rule compiled once for a run: its universal, frontier and
+    existential variables, its body encoded for the hom search (trigger
+    discovery), and [body ∪ head] with its encoding (the satisfaction
+    check).  Immutable, so pool workers share it.  Engines build one per
+    rule of [Kb.rules] when a run starts; the triggers discovered
+    through a plan carry it, so every later question about them reuses
+    the encodings.  No table outlives the run (DESIGN.md §12). *)
+
+val plan : Rule.t -> plan
+
+val plans : Rule.t list -> plan list
+
+type t = private { rule : Rule.t; mapping : Subst.t; plan : plan option }
+(** [plan] is the rule's plan when the trigger was discovered through
+    one ([None] for {!make}); it changes no answer, only what a check
+    has to encode. *)
 
 val make : Rule.t -> Subst.t -> t
 (** [make r π].  [π] is restricted to the universal variables of [r]. *)
@@ -19,7 +35,8 @@ val rule : t -> Rule.t
 val mapping : t -> Subst.t
 
 val rename : Subst.t -> t -> t
-(** The paper's [σ(tr) = (R, σ • π)]. *)
+(** The paper's [σ(tr) = (R, σ • π)]; the trigger itself when [σ] is
+    empty.  Keeps the plan. *)
 
 val equal : t -> t -> bool
 (** Same rule (by name and content) and same mapping on the rule's
@@ -63,7 +80,7 @@ val triggers_of : Rule.t -> Homo.Instance.t -> t list
     in deterministic search order. *)
 
 val triggers_of_delta :
-  Rule.t -> Homo.Instance.t -> delta:Atomset.t -> t list
+  plan -> Homo.Instance.t -> delta:Atomset.t -> t list
 (** Semi-naive discovery: the triggers of the rule whose body image
     contains at least one atom of [delta], found by enumerating body
     homomorphisms anchored on a delta atom (one seeded search per
@@ -92,13 +109,13 @@ type discovery = Delta | Snapshot | Audit
 
 val discovery : discovery ref
 
-val discover : ?delta:Atomset.t -> Rule.t list -> Homo.Instance.t -> t list
+val discover : ?delta:Atomset.t -> plan list -> Homo.Instance.t -> t list
 (** The engine entry point for active-trigger (unsatisfied) discovery,
     honouring {!discovery}.  [?delta] is the atoms added or rewritten
     since the caller's previous discovery; omitted on the first round
     (full enumeration regardless of mode). *)
 
-val discover_all : ?delta:Atomset.t -> Rule.t list -> Homo.Instance.t -> t list
+val discover_all : ?delta:Atomset.t -> plan list -> Homo.Instance.t -> t list
 (** As {!discover} but without the satisfaction filter — all triggers, for
     the oblivious/skolem baselines (which deduplicate by trigger key
     themselves).  In [Audit] mode the delta result is checked against the

@@ -151,7 +151,8 @@ let run_engine ?(engine = "chase")
       obs_retract ~engine ~step:0 ~before:(Atomset.cardinal (Kb.facts kb)) !idx
   | _ -> ());
   let outcome = ref None in
-  let rules = Kb.rules kb in
+  (* each rule compiled once for the whole run (Trigger.plan) *)
+  let plans = Trigger.plans (Kb.rules kb) in
   (* The loop body commits [d]/[idx] pairwise only after both successor
      values exist, so an exception anywhere leaves the pair consistent:
      the boundary handler below then reports the last consistent instance
@@ -179,7 +180,7 @@ let run_engine ?(engine = "chase")
          let delta =
            Option.map (fun old -> Atomset.diff current old) !prev_snapshot
          in
-         let active = Trigger.discover ?delta rules !idx in
+         let active = Trigger.discover ?delta plans !idx in
          prev_snapshot := Some current;
          if active = [] then outcome := Some Fixpoint
          else begin
@@ -189,6 +190,10 @@ let run_engine ?(engine = "chase")
               firing (the trace of the trigger, for non-monotone
               simplifications) *)
            let base_index = Derivation.length !d - 1 in
+           (* σ̄ from the round's snapshot to the last instance
+              (Derivation.sigma_trace ~from_:base_index), kept up to date
+              step by step instead of re-walked per trigger *)
+           let trace = ref Subst.empty in
            (* the round's accumulated delta, handed to [round_end] *)
            let round_fresh = ref [] in
            let round_added = ref [] in
@@ -200,12 +205,7 @@ let run_engine ?(engine = "chase")
                    if !steps_done >= budget.max_steps then
                      outcome := Some Step_budget
                    else begin
-                     let last = Derivation.last !d in
-                     let trace =
-                       Derivation.sigma_trace !d ~from_:base_index
-                         ~to_:last.Derivation.index
-                     in
-                     let tr' = Trigger.rename trace tr in
+                     let tr' = Trigger.rename !trace tr in
                      if
                        Trigger.is_trigger_for_in tr' !idx
                        && not (Trigger.satisfied_in tr' !idx)
@@ -229,6 +229,8 @@ let run_engine ?(engine = "chase")
                        let idx2 = Homo.Instance.apply_subst sigma pre_idx in
                        d := d';
                        idx := idx2;
+                       if not (Subst.is_empty sigma) then
+                         trace := Subst.compose sigma !trace;
                        round_fresh := app.Trigger.fresh :: !round_fresh;
                        round_added := added :: !round_added;
                        incr steps_done;
@@ -466,6 +468,7 @@ let stream ~variant kb =
   (* state: current derivation + its incrementally maintained index + the
      atomset at the last trigger discovery + the queue of (traced-from,
      trigger) pairs left over from the current round's snapshot *)
+  let plans = Trigger.plans (Kb.rules kb) in
   let rec next (d, idx, prev_snapshot, queue) () =
     Resilience.poll ();
     match queue with
@@ -511,7 +514,7 @@ let stream ~variant kb =
         let delta =
           Option.map (fun old -> Atomset.diff current old) prev_snapshot
         in
-        let active = Trigger.discover ?delta (Kb.rules kb) idx in
+        let active = Trigger.discover ?delta plans idx in
         if active = [] then Seq.Nil
         else begin
           if Obs.live () then
@@ -630,13 +633,14 @@ module Egds = struct
        trigger discovery is delta-driven against the previous round *)
     let prev_snapshot = ref None in
     let rounds = ref 0 in
+    let plans = Trigger.plans (Kb.rules kb) in
     let tgd_round () =
       Resilience.poll ();
       let current = Homo.Instance.atomset !idx in
       let delta =
         Option.map (fun old -> Atomset.diff current old) !prev_snapshot
       in
-      let active = Trigger.discover ?delta (Kb.rules kb) !idx in
+      let active = Trigger.discover ?delta plans !idx in
       prev_snapshot := Some current;
       if active = [] then false
       else begin
@@ -653,13 +657,14 @@ module Egds = struct
               Resilience.Fault.hit "step";
               incr steps;
               let app = Trigger.apply_in tr !idx in
-              if Atomset.cardinal app.Trigger.result > budget.max_atoms then
-                raise (Stop_run Atom_budget);
               let added =
                 List.filter
                   (fun a -> not (Homo.Instance.mem !idx a))
                   (Atomset.to_list app.Trigger.produced)
               in
+              (* |α(I, tr)| without walking it *)
+              if Homo.Instance.cardinal !idx + List.length added > budget.max_atoms
+              then raise (Stop_run Atom_budget);
               let pre_idx = Homo.Instance.add_atoms !idx added in
               let idx' =
                 match variant with
@@ -745,6 +750,7 @@ module Baseline = struct
     let steps = ref 0 in
     let rounds = ref 0 in
     let outcome = ref None in
+    let plans = Trigger.plans (Kb.rules kb) in
     (try
        Resilience.with_token token @@ fun () ->
        while !outcome = None do
@@ -754,7 +760,7 @@ module Baseline = struct
          let delta =
            Option.map (fun old -> Atomset.diff current old) !prev_snapshot
          in
-         let candidates = Trigger.discover_all ?delta (Kb.rules kb) !idx in
+         let candidates = Trigger.discover_all ?delta plans !idx in
          prev_snapshot := Some current;
          let fresh_triggers =
            List.filter (fun tr -> not (Hashtbl.mem seen (key tr))) candidates

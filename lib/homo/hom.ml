@@ -419,7 +419,17 @@ let solve_flat ~bt ~nodes ~seed ~injective ~k (c : compiled)
 let solve ?(seed = Subst.empty) ?(injective = false) ?compiled ?(exclude = [])
     ~(k : Subst.t -> unit) (src : Atomset.t) (tgt : Instance.t) : unit =
   Resilience.Fault.hit "hom";
-  if Atomset.cardinal src > !max_depth then raise Stdlib.Stack_overflow;
+  (* a compiled source of this very atomset is used as is, and knows its
+     size without a walk *)
+  let compiled =
+    match compiled with Some c when c.c_src == src -> Some c | _ -> None
+  in
+  let size =
+    match compiled with
+    | Some c -> Array.length c.c_pred
+    | None -> Atomset.cardinal src
+  in
+  if size > !max_depth then raise Stdlib.Stack_overflow;
   let bt = ref 0 in
   let nodes = ref 0 in
   let view =
@@ -431,11 +441,7 @@ let solve ?(seed = Subst.empty) ?(injective = false) ?compiled ?(exclude = [])
   in
   let run () =
     if !flat_enabled then
-      let c =
-        match compiled with
-        | Some c when c.c_src == src -> c
-        | _ -> compile src
-      in
+      let c = match compiled with Some c -> c | None -> compile src in
       solve_flat ~bt ~nodes ~seed ~injective ~k c tgt view
     else
       let tgt =
@@ -461,7 +467,7 @@ let solve ?(seed = Subst.empty) ?(injective = false) ?compiled ?(exclude = [])
               (Obs.Trace.Hom_backtrack
                  {
                    backtracks = !bt;
-                   src_atoms = Atomset.cardinal src;
+                   src_atoms = size;
                    tgt_atoms =
                      (match view with
                      | None -> Instance.cardinal tgt
@@ -578,16 +584,16 @@ let find_memo ~allow_stale ?seed ?injective ?memo ?compiled ?exclude src tgt =
 let find ?seed ?injective ?memo ?compiled ?exclude src tgt =
   find_memo ~allow_stale:false ?seed ?injective ?memo ?compiled ?exclude src tgt
 
-let exists ?seed ?injective ?memo src tgt =
-  match find_memo ~allow_stale:true ?seed ?injective ?memo src tgt with
+let exists ?seed ?injective ?memo ?compiled src tgt =
+  match find_memo ~allow_stale:true ?seed ?injective ?memo ?compiled src tgt with
   | Some _ -> true
   | None -> false
 
-let all ?seed ?injective ?limit src tgt =
+let all ?seed ?injective ?limit ?compiled src tgt =
   let acc = ref [] in
   let n = ref 0 in
   (try
-     solve ?seed ?injective
+     solve ?seed ?injective ?compiled
        ~k:(fun s ->
          acc := s :: !acc;
          incr n;

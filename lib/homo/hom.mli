@@ -73,9 +73,11 @@ val exists :
   ?seed:Subst.t ->
   ?injective:bool ->
   ?memo:int array * int ->
+  ?compiled:compiled ->
   Atomset.t ->
   Instance.t ->
   bool
+(** [find] as a boolean; [~compiled] as for {!find}. *)
 
 val memo_enabled : bool ref
 (** Ablation switch ([abl:hom:memo]): when [false], [~memo] arguments are
@@ -86,10 +88,12 @@ val memo_clear : unit -> unit
     mismatch already invalidates); useful to isolate benchmark runs. *)
 
 val all :
-  ?seed:Subst.t -> ?injective:bool -> ?limit:int -> Atomset.t -> Instance.t ->
-  Subst.t list
+  ?seed:Subst.t -> ?injective:bool -> ?limit:int -> ?compiled:compiled ->
+  Atomset.t -> Instance.t -> Subst.t list
 (** All homomorphisms (up to [limit], default unlimited), in search order.
-    Each is restricted to the variables of [src] (plus seed bindings). *)
+    Each is restricted to the variables of [src] (plus seed bindings).
+    [~compiled] as for {!find}: trigger discovery passes each rule body
+    compiled once per run. *)
 
 val count :
   ?seed:Subst.t -> ?injective:bool -> ?limit:int -> Atomset.t -> Instance.t ->

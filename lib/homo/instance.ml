@@ -88,6 +88,7 @@ type t = {
           anywhere).  The witness makes decoding solver-found images
           hint-exact: codes drop hints, the witness kept them. *)
   generation : int;  (** cache epoch; equal generations ⇒ equal content *)
+  card : int;  (** [Atomset.cardinal atoms], kept so reading it is O(1) *)
 }
 
 let empty =
@@ -97,6 +98,7 @@ let empty =
     by_pred = IMap.empty;
     by_code = IMap.empty;
     generation = 0;
+    card = 0;
   }
 
 let bump e = function
@@ -165,6 +167,7 @@ let add_atom ins a =
       by_pred;
       by_code;
       generation = g;
+      card = ins.card + 1;
     }
 
 let remove_atom ins a =
@@ -198,6 +201,7 @@ let remove_atom ins a =
         by_pred;
         by_code;
         generation = next_gen ();
+        card = ins.card - 1;
       }
 
 let add_atoms ins atoms = List.fold_left add_atom ins atoms
@@ -270,7 +274,7 @@ let atoms_since ins g =
     ins.info []
   |> List.sort Atom.compare
 
-let cardinal ins = Atomset.cardinal ins.atoms
+let cardinal ins = ins.card
 
 let mem ins a = Atomset.mem a ins.atoms
 
@@ -357,7 +361,7 @@ let findex_select fi ~fargs ~bind =
 
 let findex_count fi ~fargs ~bind =
   if !use_indexes then (findex_select fi ~fargs ~bind).n
-  else Atomset.cardinal fi.f_ins.atoms
+  else fi.f_ins.card
 
 let findex_items fi ~fargs ~bind =
   if !use_indexes then (findex_select fi ~fargs ~bind).items
@@ -520,7 +524,7 @@ let candidates ins pattern sigma =
 
 let candidate_count ins pattern sigma =
   if !use_indexes then (best_bucket ins pattern sigma).n
-  else Atomset.cardinal ins.atoms
+  else ins.card
 
 let invariants_ok ins =
   let fresh = of_atomset ins.atoms in
@@ -555,6 +559,7 @@ let invariants_ok ins =
   && (* entries cover exactly the live atoms, agree with a fresh encode,
         and never postdate the instance's own epoch *)
   AMap.cardinal ins.info = Atomset.cardinal ins.atoms
+  && ins.card = Atomset.cardinal ins.atoms
   && AMap.for_all
        (fun a { stamp; entry } ->
          Atomset.mem a ins.atoms

@@ -299,6 +299,50 @@ let close t =
 (* ---------------------------------------------------------------- *)
 (* Snapshots *)
 
+(* Make a rename durable before anything relies on it: the prune below
+   unlinks the files the new snapshot replaces, and a crash must never
+   keep the unlinks but lose the rename. *)
+let sync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
+(* Once the snapshot covering [covers] is in place and the writer has
+   rotated to the segment starting at [covers + 1], every older
+   snapshot and every segment before the writer's holds only LSNs the
+   new snapshot already covers: recovery never reads them again.  They
+   are deleted oldest first (by the LSN in their names), so a crash
+   part-way leaves the newest snapshot, the writer's segment and a
+   gapless run of segments in between — a directory [open_dir]
+   accepts. *)
+let prune t ~covers =
+  let victims =
+    (try Sys.readdir t.dir with Sys_error _ -> [||])
+    |> Array.to_list
+    |> List.filter_map (fun n ->
+           match parse_numbered ~prefix:"snap-" ~suffix:".snap" n with
+           | Some i when i < covers -> Some (i, n)
+           | Some _ -> None
+           | None -> (
+               match parse_numbered ~prefix:"wal-" ~suffix:".xlog" n with
+               | Some i when i < t.segment_first -> Some (i, n)
+               | _ -> None))
+    |> List.sort compare
+  in
+  (* a file that cannot be deleted ends the prune: skipping it and going
+     on would leave the LSN gap the order exists to avoid *)
+  let rec go = function
+    | [] -> ()
+    | (_, n) :: rest -> (
+        match Sys.remove (Filename.concat t.dir n) with
+        | () -> go rest
+        | exception Sys_error _ -> ())
+  in
+  go victims
+
 let write_snapshot t records =
   let covers = t.next_lsn - 1 in
   if covers > 0 && records <> [] && not t.closed then begin
@@ -330,7 +374,9 @@ let write_snapshot t records =
       t.unsynced <- 0;
       if Obs.Trace.enabled () then
         Obs.Trace.emit (Obs.Trace.Wal_rotate { segment = seg; lsn = t.next_lsn })
-    end
+    end;
+    sync_dir t.dir;
+    prune t ~covers
   end
 
 let maybe_snapshot t records_fn =
@@ -501,14 +547,22 @@ let recover t kb =
                   if index <> prev.Chase.Derivation.index + 1 then
                     fail i "snapshot step index %d does not follow %d" index
                       prev.Chase.Derivation.index);
+              let pre_instance = Atomset.of_list pre in
+              (* an identity step's F is its A: share the set, as the
+                 live run does *)
+              let instance =
+                if Subst.is_empty sigma && List.equal Atom.equal pre inst then
+                  pre_instance
+                else Atomset.of_list inst
+              in
               steps_rev :=
                 {
                   Chase.Derivation.index;
                   trigger = None;
                   pi_safe;
-                  pre_instance = Atomset.of_list pre;
+                  pre_instance;
                   simplification = sigma;
-                  instance = Atomset.of_list inst;
+                  instance;
                 }
                 :: !steps_rev
           | Record.Retract { index; sigma } -> (
@@ -653,12 +707,15 @@ let chase_snapshot_records ~engine ?kb_path ?kb_digest ~budget
     match st.Chase.Variants.state_snapshot with
     | None -> -1
     | Some snap ->
-        let rec find i =
-          if i < 0 then -1
-          else if Atomset.equal (Chase.Derivation.instance_at d i) snap then i
-          else find (i - 1)
+        (* the newest step whose instance is the snapshot, in one walk *)
+        let rec find = function
+          | [] -> -1
+          | (s : Chase.Derivation.step) :: older ->
+              if Atomset.equal s.Chase.Derivation.instance snap then
+                s.Chase.Derivation.index
+              else find older
         in
-        find (Chase.Derivation.length d - 1)
+        find (List.rev (Chase.Derivation.steps d))
   in
   (begin_record ~engine ?kb_path ?kb_digest ~budget ()
   :: List.map

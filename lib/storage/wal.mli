@@ -69,8 +69,10 @@ val close : t -> unit
 val write_snapshot : t -> Record.t list -> unit
 (** Write the records as a snapshot covering every LSN appended so far
     (tmp + rename), then rotate to a fresh segment.  No-op when the log
-    or the record list is empty.  Old segments are retained — the log
-    never deletes data it once called durable. *)
+    or the record list is empty.  Once the snapshot is in place, the
+    older snapshots and the segments it covers are deleted, oldest
+    first: every state a crash can leave mid-prune still opens to the
+    same records. *)
 
 val maybe_snapshot : t -> (unit -> Record.t list) -> unit
 (** Count one snapshot-cadence tick (a completed round for the chase,

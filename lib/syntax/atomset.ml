@@ -26,9 +26,9 @@ let inter = S.inter
 
 let diff = S.diff
 
-let subset = S.subset
+let subset a b = a == b || S.subset a b
 
-let equal = S.equal
+let equal a b = a == b || S.equal a b
 
 let compare = S.compare
 
@@ -42,7 +42,7 @@ let for_all = S.for_all
 
 let filter = S.filter
 
-let map f s = S.fold (fun a acc -> S.add (f a) acc) s S.empty
+let map = S.map
 
 let terms s =
   S.fold (fun a acc -> List.rev_append (Atom.terms a) acc) s []

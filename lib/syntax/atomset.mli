@@ -34,8 +34,10 @@ val inter : t -> t -> t
 val diff : t -> t -> t
 
 val subset : t -> t -> bool
+(** Physically equal sets are answered without a walk. *)
 
 val equal : t -> t -> bool
+(** Physically equal sets are answered without a walk. *)
 
 val compare : t -> t -> int
 
@@ -50,6 +52,9 @@ val for_all : (Atom.t -> bool) -> t -> bool
 val filter : (Atom.t -> bool) -> t -> t
 
 val map : (Atom.t -> Atom.t) -> t -> t
+(** The set of images.  Subtrees whose atoms all map to themselves
+    (physically) are shared with the argument; when every atom does, the
+    argument itself is returned. *)
 
 val terms : t -> Term.t list
 (** Distinct terms occurring in the atomset, sorted. *)

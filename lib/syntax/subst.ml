@@ -49,9 +49,27 @@ let apply_term s t =
   | Term.Var v -> (
       match M.find_opt v.Term.id s with Some (_, t') -> t' | None -> t)
 
-let apply_atom s a = Atom.make (Atom.pred a) (List.map (apply_term s) (Atom.args a))
+(* Sharing (DESIGN.md §12, "a step costs its delta"): an atom none of
+   whose arguments moves comes back physically unchanged, so [apply] —
+   through [Atomset.map], which keeps every subtree whose elements all
+   come back [==] — allocates nothing for the part of an atomset [σ]
+   does not touch, and returns the very set when [σ] touches nothing. *)
+let rec apply_args s args =
+  match args with
+  | [] -> args
+  | t :: rest ->
+      let t' = apply_term s t in
+      let rest' = apply_args s rest in
+      if t' == t && rest' == rest then args else t' :: rest'
 
-let apply s aset = Atomset.map (apply_atom s) aset
+let apply_atom s a =
+  if M.is_empty s then a
+  else
+    let args = Atom.args a in
+    let args' = apply_args s args in
+    if args' == args then a else Atom.make (Atom.pred a) args'
+
+let apply s aset = if M.is_empty s then aset else Atomset.map (apply_atom s) aset
 
 let compose s' s =
   (* σ' • σ : defined on dom σ ∪ dom σ', maps Y to σ'⁺(σ⁺(Y)). *)

@@ -49,9 +49,12 @@ val apply_term : t -> Term.t -> Term.t
 (** [σ⁺(t)]: the binding if [t] is a bound variable, [t] itself otherwise. *)
 
 val apply_atom : t -> Atom.t -> Atom.t
+(** The atom itself (physically) when no argument moves. *)
 
 val apply : t -> Atomset.t -> Atomset.t
-(** [σ(A) = { σ(at) | at ∈ A }]. *)
+(** [σ(A) = { σ(at) | at ∈ A }].  Allocates only for the atoms [σ]
+    moves: untouched atoms and subtrees are shared with [A], and the
+    empty substitution returns [A] itself. *)
 
 val compose : t -> t -> t
 (** [compose s' s] is the paper's [σ' • σ]: defined on [dom s ∪ dom s'],

@@ -5,6 +5,7 @@ Usage: bench_compare.py BASELINE.json CURRENT.json [TOLERANCE]
        bench_compare.py --memo-gate CURRENT.json
        bench_compare.py --route-gate CURRENT.json
        bench_compare.py --scaling-gate CURRENT.json
+       bench_compare.py --step-gate CURRENT.json
 
 Both files use the BENCH_RESULTS.json schema: timing rows (ns/run) nested
 under a top-level "benchmarks" key and per-workload counter columns under
@@ -34,6 +35,12 @@ Exit status:
      (--scaling-gate); on narrower machines the pool is clamped and the
      gate degrades to a warning, since speedup ~ 1.0 is the correct
      clamped behaviour there.
+  6  step gate violation: the "step:tc-chain-N" rows (minor words per
+     applied restricted-chase step outside discovery and hom search, a
+     deterministic figure, not a time) exceed STEP_MAX_WORDS on the
+     larger chain, or grow by more than STEP_MAX_GROWTH from the smaller
+     chain to the larger.  A step that rebuilds the instance allocates
+     in proportion to it (--step-gate, hard).
 
 Stdlib only.
 """
@@ -56,6 +63,14 @@ MEMO_PAD = 1.10
 THR_ROW = "corechase thr:batch:jobs%d"
 SCALING_MIN_SPEEDUP = 1.5
 SCALING_MIN_CORES = 4
+
+STEP_ROW = "corechase step:tc-chain-%d"
+STEP_SIZES = (20, 40)
+# The larger chain saturates to 820 atoms, the smaller to 210.  A step
+# that costs its delta allocates about the same on both (~1.2k/1.7k
+# words); one that rebuilds the instance allocated 9.8k/37.5k.
+STEP_MAX_WORDS = 4000.0
+STEP_MAX_GROWTH = 2.0
 
 ROUTE_AUTO = "corechase abl:route:auto:"
 # Fixed-engine rows the routed run is compared against, per family.
@@ -148,6 +163,30 @@ def scaling_gate(current):
     return 5
 
 
+def step_gate(current):
+    """0 if a chase step's own allocation stays bounded and flat in the
+    instance size, else 6."""
+    bench = current.get("benchmarks", {})
+    small, large = (bench.get(STEP_ROW % n) for n in STEP_SIZES)
+    if not isinstance(small, (int, float)) or not isinstance(large, (int, float)) \
+            or small <= 0:
+        print("step gate: rows missing (%s / %s) — FAIL"
+              % (STEP_ROW % STEP_SIZES[0], STEP_ROW % STEP_SIZES[1]))
+        return 6
+    growth = large / small
+    ok = large <= STEP_MAX_WORDS and growth <= STEP_MAX_GROWTH
+    print(
+        "step gate: tc-chain-%d %.1f, tc-chain-%d %.1f words/step -> growth "
+        "%.2fx (limits %.0f words, %.2fx) -> %s"
+        % (STEP_SIZES[0], small, STEP_SIZES[1], large, growth,
+           STEP_MAX_WORDS, STEP_MAX_GROWTH, "PASS" if ok else "FAIL")
+    )
+    if not ok:
+        print("step gate: a chase step allocates in proportion to the instance")
+        return 6
+    return 0
+
+
 def route_gate(current):
     """0 if every routed run beats ROUTE_PAD x the best fixed engine, else 4."""
     bench = current.get("benchmarks", {})
@@ -218,6 +257,8 @@ def main():
         return route_gate(load(sys.argv[2]))
     if len(sys.argv) == 3 and sys.argv[1] == "--scaling-gate":
         return scaling_gate(load(sys.argv[2]))
+    if len(sys.argv) == 3 and sys.argv[1] == "--step-gate":
+        return step_gate(load(sys.argv[2]))
     if len(sys.argv) < 3:
         print(__doc__)
         return 2
@@ -236,14 +277,15 @@ def main():
     for name in sorted(current):
         cur = current[name]
         base = baseline.get(name)
+        unit = "words/step" if name.startswith("corechase step:") else "ns/run"
         if not isinstance(base, (int, float)) or base <= 0:
-            print("  %-*s %14s -> %14.1f ns/run  (no baseline)" % (width, name, "-", cur))
+            print("  %-*s %14s -> %14.1f %s  (no baseline)" % (width, name, "-", cur, unit))
             continue
         ratio = cur / base
         flag = "REGRESSION" if ratio > tolerance else "ok"
         print(
-            "  %-*s %14.1f -> %14.1f ns/run  %5.2fx %s"
-            % (width, name, base, cur, ratio, flag)
+            "  %-*s %14.1f -> %14.1f %s  %5.2fx %s"
+            % (width, name, base, cur, unit, ratio, flag)
         )
         if ratio > tolerance:
             regressions.append((name, ratio))

@@ -197,6 +197,38 @@ let test_sigma_trace_identity_when_monotonic () =
 (* ------------------------------------------------------------------ *)
 (* Restricted chase *)
 
+(* Sharing pin: in a monotone chase every σ_i is the identity, so F_i is
+   A_i — the same set value, not a rebuilt copy.  A regression that
+   re-allocates the instance per step fails here instead of hiding as a
+   slowdown.  Core steps that do not fold share too. *)
+let test_restricted_steps_share_instances () =
+  let kbs =
+    [ Zoo.Classic.transitive_closure (); Zoo.Staircase.kb (); Zoo.Elevator.kb () ]
+  in
+  List.iter
+    (fun kb ->
+      let budget = { Chase.Variants.max_steps = 40; max_atoms = 5_000 } in
+      let d = (Chase.Variants.restricted ~budget kb).Chase.Variants.derivation in
+      Alcotest.(check bool) "steps taken" true (Chase.Derivation.length d > 1);
+      List.iter
+        (fun (st : Chase.Derivation.step) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "restricted step %d: F == A" st.Chase.Derivation.index)
+            true
+            (st.Chase.Derivation.instance == st.Chase.Derivation.pre_instance))
+        (Chase.Derivation.steps d);
+      let dc = (Chase.Variants.core ~budget kb).Chase.Variants.derivation in
+      List.iter
+        (fun (st : Chase.Derivation.step) ->
+          if Subst.is_empty st.Chase.Derivation.simplification then
+            Alcotest.(check bool)
+              (Printf.sprintf "core step %d (σ = id): F == A"
+                 st.Chase.Derivation.index)
+              true
+              (st.Chase.Derivation.instance == st.Chase.Derivation.pre_instance))
+        (Chase.Derivation.steps dc))
+    kbs
+
 let test_restricted_terminates_sym () =
   let r = Chase.Variants.restricted (kb_sym ()) in
   Alcotest.(check bool) "terminated" true
@@ -599,6 +631,7 @@ let suites =
         tc "chain exhausts budget" test_restricted_chain_budget;
         tc "terminated prefix fair" test_restricted_terminated_prefix_is_fair;
         tc "diverges where core wins" test_restricted_nonterminating_on_core_wins_kb;
+        tc "steps share their instance" test_restricted_steps_share_instances;
       ] );
     ( "chase.core",
       [

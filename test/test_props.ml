@@ -18,7 +18,10 @@
        ∘ to_json = Some);
      - flat interned codes (DESIGN.md §12): decode ∘ encode = id up to
        Atom.equal, flat equal/compare/hash agree with the boxed ones,
-       flat substitution application agrees with Subst.apply_atom, and
+       flat substitution application agrees with Subst.apply_atom,
+       Subst.apply agrees with a map-every-atom reference and shares
+       what σ leaves alone, Derivation.sigma_trace agrees with a
+       per-index fold of Definition 2, and
        the flat solver — and through it every chase engine — is
        observationally identical to the boxed reference, and a search
        through an exclusion view is the search into the remove_atoms
@@ -571,6 +574,124 @@ let flat_subst_agrees c =
   Flat.equal applied (Flat.encode boxed)
   && changed = not (Flat.equal applied fa)
   && prefix_agrees
+
+(* Law 10b: [Subst.apply] is the map-every-atom reference — each atom
+   rebuilt through [Atom.make], the images collected into a fresh set —
+   up to printed form (so hints agree too), and it shares what σ leaves
+   alone: the empty σ returns the very set, an atom with no argument in
+   σ's domain comes back physically, and so does a set none of whose
+   atoms σ touches.  Empty σ are drawn on purpose. *)
+
+let apply_reference sigma aset =
+  Atomset.fold
+    (fun a acc ->
+      Atomset.add
+        (Atom.make (Atom.pred a) (List.map (Subst.apply_term sigma) (Atom.args a)))
+        acc)
+    aset Atomset.empty
+
+type apply_case = { ap_atoms : Atom.t list; ap_bindings : (Term.t * Term.t) list }
+
+let apply_case : apply_case arbitrary =
+  {
+    gen =
+      (fun rng ->
+        {
+          ap_atoms = List.init (int_in rng 0 12) (fun _ -> gen_flat_atom rng);
+          ap_bindings =
+            (if Random.State.int rng 4 = 0 then [] else gen_bindings rng);
+        });
+    shrink =
+      (fun c ->
+        List.map (fun b -> { c with ap_bindings = b }) (without_each c.ap_bindings)
+        @ List.map (fun l -> { c with ap_atoms = l }) (without_each c.ap_atoms));
+    print =
+      (fun c ->
+        Fmt.str "atoms=%a σ=%s" Atomset.pp_verbose (Atomset.of_list c.ap_atoms)
+          (pp_bindings c.ap_bindings));
+  }
+
+let subst_apply_agrees c =
+  let sigma = subst_of c.ap_bindings in
+  let aset = Atomset.of_list c.ap_atoms in
+  let got = Subst.apply sigma aset in
+  let touched a = List.exists (fun t -> Subst.mem t sigma) (Atom.args a) in
+  Atomset.equal got (apply_reference sigma aset)
+  && String.equal
+       (Fmt.str "%a" Atomset.pp_verbose got)
+       (Fmt.str "%a" Atomset.pp_verbose (apply_reference sigma aset))
+  && Subst.apply Subst.empty aset == aset
+  && List.for_all
+       (fun a -> touched a || Subst.apply_atom sigma a == a)
+       c.ap_atoms
+  && (List.exists touched c.ap_atoms || got == aset)
+
+(* Law 10c: [Derivation.sigma_trace] — one walk that skips empty σ — is
+   Definition 2 read literally (compose [step d i]'s σ for i = from_+1
+   .. to_, one [List.nth] lookup each), on every [(from_, to_)] pair of
+   core and core-round derivations of zoo KBs (whose σ are non-empty
+   where the core folds), and raises where that fold raises. *)
+
+let sigma_trace_oracle d ~from_ ~to_ =
+  if from_ > to_ then invalid_arg "Derivation.sigma_trace: from_ > to_";
+  let rec go i acc =
+    if i > to_ then acc
+    else
+      go (i + 1)
+        (Subst.compose (Chase.Derivation.step d i).Chase.Derivation.simplification acc)
+  in
+  go (from_ + 1) Subst.empty
+
+let trace_kbs =
+  lazy
+    (List.map snd (Zoo.Classic.all_named ())
+    @ [ Zoo.Staircase.kb (); Zoo.Elevator.kb () ])
+
+type trace_case = { tr_kb : int; tr_round : bool; tr_steps : int }
+
+let trace_case : trace_case arbitrary =
+  {
+    gen =
+      (fun rng ->
+        {
+          tr_kb = Random.State.int rng (List.length (Lazy.force trace_kbs));
+          tr_round = Random.State.bool rng;
+          tr_steps = int_in rng 3 25;
+        });
+    shrink =
+      (fun c -> if c.tr_steps > 3 then [ { c with tr_steps = c.tr_steps - 1 } ] else []);
+    print =
+      (fun c ->
+        Printf.sprintf "kb #%d, %s, %d steps" c.tr_kb
+          (if c.tr_round then "core-round" else "core")
+          c.tr_steps);
+  }
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let sigma_trace_agrees c =
+  let kb = List.nth (Lazy.force trace_kbs) c.tr_kb in
+  let budget = { Chase.Variants.max_steps = c.tr_steps; max_atoms = 2_000 } in
+  let cadence =
+    if c.tr_round then Chase.Variants.Every_round else Chase.Variants.Every_application
+  in
+  let d = (Chase.Variants.core ~budget ~cadence kb).Chase.Variants.derivation in
+  let n = Chase.Derivation.length d in
+  let pairs =
+    List.concat_map
+      (fun i -> List.init (n - i) (fun k -> (i, i + k)))
+      (List.init n Fun.id)
+  in
+  List.for_all
+    (fun (from_, to_) ->
+      Subst.equal
+        (Chase.Derivation.sigma_trace d ~from_ ~to_)
+        (sigma_trace_oracle d ~from_ ~to_))
+    pairs
+  && raises_invalid (fun () -> Chase.Derivation.sigma_trace d ~from_:1 ~to_:0)
+  && raises_invalid (fun () -> Chase.Derivation.sigma_trace d ~from_:0 ~to_:n)
+  && raises_invalid (fun () -> sigma_trace_oracle d ~from_:0 ~to_:n)
 
 (* ------------------------------------------------------------------ *)
 (* Law 11: the flat solver is observationally the boxed solver.  Both
@@ -1209,6 +1330,10 @@ let suites =
           flat_codes_lawful;
         check ~count:400 "flat substitution agrees with boxed" fsub_case
           flat_subst_agrees;
+        check ~count:400 "subst apply = map-every-atom reference, shares"
+          apply_case subst_apply_agrees;
+        check ~count:60 "sigma trace = per-index fold oracle" trace_case
+          sigma_trace_agrees;
         check ~count:150 "flat solver = boxed solver (Hom.all)" hom_case
           flat_solver_agrees;
         check ~count:300 "exclusion view = remove_atoms copy (Hom.find)"

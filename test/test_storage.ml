@@ -253,6 +253,11 @@ let segment_files dir =
   |> List.filter (fun n -> Filename.check_suffix n ".xlog")
   |> List.sort compare
 
+let snapshot_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".snap")
+  |> List.sort compare
+
 let test_torn_tail_truncated () =
   with_dir @@ fun dir ->
   let w = ok "open" (W.open_dir dir) in
@@ -351,12 +356,12 @@ let test_snapshot_and_rotation () =
   in
   List.iter tick (sess_ops 7);
   W.close w;
-  let snaps =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun n -> Filename.check_suffix n ".snap")
-  in
-  Alcotest.(check int) "two snapshots (after op 3 and 6)" 2 (List.length snaps);
-  Alcotest.(check bool) "segments retained" true (List.length (segment_files dir) >= 2);
+  (* snapshots were cut after ops 3 and 6; the second one pruned the
+     first and every segment it covers *)
+  Alcotest.(check (list string)) "only the latest snapshot (after op 6)"
+    [ "snap-0000000000000006.snap" ] (snapshot_files dir);
+  Alcotest.(check (list string)) "only the segment after it"
+    [ "wal-0000000000000007.xlog" ] (segment_files dir);
   let w2 = ok "reopen" (W.open_dir dir) in
   let got = ok "records" (W.records w2) in
   Alcotest.(check int) "snapshot + tail covers all 7" 7 (List.length got);
@@ -364,6 +369,167 @@ let test_snapshot_and_rotation () =
     (fun a b -> Alcotest.(check bool) "same record" true (R.equal a b))
     (sess_ops 7) got;
   W.close w2
+
+(* A crash part-way through a prune leaves the newest snapshot, the
+   writer's segment and some oldest-first suffix of the files the prune
+   was deleting.  Every such directory must open to the full record
+   list; deleting out of order (a middle segment before an older one)
+   would leave an LSN gap, which [open_dir] refuses. *)
+let test_prune_crash_prefixes () =
+  with_dir @@ fun dir ->
+  let w = ok "open" (W.open_dir ~snapshot_every:3 dir) in
+  let compacted = ref [] in
+  (* every file as it stood just before a snapshot could prune it *)
+  let graveyard = Hashtbl.create 8 in
+  let tick r =
+    W.append w r;
+    compacted := !compacted @ [ r ];
+    W.sync w;
+    Array.iter
+      (fun n -> Hashtbl.replace graveyard n (read_file (Filename.concat dir n)))
+      (Sys.readdir dir);
+    W.maybe_snapshot w (fun () -> !compacted)
+  in
+  List.iter tick (sess_ops 7);
+  W.close w;
+  let final = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  let pruned =
+    Hashtbl.fold
+      (fun n _ acc -> if List.mem n final then acc else n :: acc)
+      graveyard []
+    |> List.sort compare
+  in
+  (* names sort by their zero-padded LSN within each kind; interleave
+     the kinds by that LSN, as the prune does *)
+  let lsn n = int_of_string (String.sub n (String.index n '-' + 1) 16) in
+  let pruned = List.sort (fun a b -> compare (lsn a, a) (lsn b, b)) pruned in
+  Alcotest.(check (list string)) "pruned, oldest first"
+    [ "wal-0000000000000001.xlog"; "snap-0000000000000003.snap";
+      "wal-0000000000000004.xlog" ]
+    pruned;
+  let write_back n =
+    let oc = open_out_bin (Filename.concat dir n) in
+    output_string oc (Hashtbl.find graveyard n);
+    close_out oc
+  in
+  let opens_to_all label =
+    let w2 = ok label (W.open_dir ~quiet:true dir) in
+    let got = ok (label ^ ": records") (W.records w2) in
+    W.close w2;
+    Alcotest.(check int) (label ^ ": all 7 records") 7 (List.length got);
+    List.iter2
+      (fun a b -> Alcotest.(check bool) (label ^ ": same record") true (R.equal a b))
+      (sess_ops 7) got
+  in
+  (* restore the not-yet-deleted suffix, newest first, reopening each time *)
+  List.iter
+    (fun n ->
+      write_back n;
+      opens_to_all ("crash with " ^ n ^ " not yet deleted"))
+    (List.rev pruned);
+  (* out of order: the older segment kept, the one after it gone *)
+  Sys.remove (Filename.concat dir "wal-0000000000000004.xlog");
+  Sys.remove (Filename.concat dir "snap-0000000000000003.snap");
+  ignore
+    (expect_error "gap refused" (W.open_dir ~quiet:true dir) : string)
+
+(* [--snapshot-every 1] on a chain: a snapshot per completed round, and
+   each one prunes its predecessors — one snapshot and the segments
+   after it remain, and they still recover the run. *)
+let chain_kb n =
+  let c i = Term.const (Printf.sprintf "n%d" i) in
+  let x = Term.fresh_var ~hint:"X" () and y = Term.fresh_var ~hint:"Y" ()
+  and z = Term.fresh_var ~hint:"Z" () in
+  Kb.of_lists
+    ~facts:(List.init n (fun i -> Atom.make "e" [ c i; c (i + 1) ]))
+    ~rules:
+      [
+        Rule.make ~name:"trans"
+          ~body:[ Atom.make "e" [ x; y ]; Atom.make "e" [ y; z ] ]
+          ~head:[ Atom.make "e" [ x; z ] ]
+          ();
+      ]
+
+let test_snapshot_every_round_prunes () =
+  with_dir @@ fun dir ->
+  reset ();
+  let kb = chain_kb 8 in
+  let budget = { Chase.Variants.max_steps = 1_000; max_atoms = 5_000 } in
+  let w = ok "open" (W.open_dir ~snapshot_every:1 ~quiet:true dir) in
+  let journal = W.journal w ~engine:"restricted" ~budget () in
+  let checkpoint = W.checkpoint_hook w ~engine:"restricted" ~budget () in
+  let run = Chase.Variants.restricted ~budget ~checkpoint ~journal kb in
+  W.close w;
+  Alcotest.(check bool) "several rounds" true (run.Chase.Variants.rounds >= 3);
+  let snaps = snapshot_files dir in
+  Alcotest.(check int) "exactly one snapshot" 1 (List.length snaps);
+  let covers = int_of_string (String.sub (List.hd snaps) 5 16) in
+  List.iter
+    (fun seg ->
+      Alcotest.(check bool)
+        (seg ^ " starts after the snapshot")
+        true
+        (int_of_string (String.sub seg 4 16) > covers))
+    (segment_files dir);
+  let w2 = ok "reopen" (W.open_dir ~quiet:true dir) in
+  let recovered = ok "recover" (W.recover w2 kb) in
+  W.close w2;
+  match recovered.W.r_state with
+  | None -> Alcotest.fail "no completed round recovered"
+  | Some st ->
+      let d = st.Chase.Variants.state_derivation in
+      Alcotest.(check bool) "recovers the final instance" true
+        (Atomset.equal
+           (Chase.Derivation.last d).Chase.Derivation.instance
+           (Chase.Derivation.last run.Chase.Variants.derivation)
+             .Chase.Derivation.instance)
+
+(* Sharing pin: a monotone run's σ are all empty, so every recovered
+   step — replayed from [Add] records or loaded from a snapshot — must
+   reuse its pre-instance as its instance, as the live run does.  A
+   re-allocating regression fails here instead of hiding as a slowdown. *)
+let test_recovered_steps_share () =
+  let check_dir label ~snapshot_every =
+    with_dir @@ fun dir ->
+    reset ();
+    let kb = chain_kb 6 in
+    let budget = { Chase.Variants.max_steps = 1_000; max_atoms = 5_000 } in
+    let w = ok "open" (W.open_dir ~snapshot_every ~quiet:true dir) in
+    let journal = W.journal w ~engine:"restricted" ~budget () in
+    let checkpoint =
+      if snapshot_every > 0 then
+        Some (W.checkpoint_hook w ~engine:"restricted" ~budget ())
+      else None
+    in
+    let run = Chase.Variants.restricted ~budget ?checkpoint ~journal kb in
+    W.close w;
+    List.iter
+      (fun (st : Chase.Derivation.step) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: live step %d shares" label st.Chase.Derivation.index)
+          true
+          (st.Chase.Derivation.instance == st.Chase.Derivation.pre_instance))
+      (Chase.Derivation.steps run.Chase.Variants.derivation);
+    let w2 = ok "reopen" (W.open_dir ~quiet:true dir) in
+    let recovered = ok "recover" (W.recover w2 kb) in
+    W.close w2;
+    match recovered.W.r_state with
+    | None -> Alcotest.fail (label ^ ": no completed round recovered")
+    | Some st ->
+        let steps = Chase.Derivation.steps st.Chase.Variants.state_derivation in
+        Alcotest.(check bool) (label ^ ": steps recovered") true
+          (List.length steps > 1);
+        List.iter
+          (fun (st : Chase.Derivation.step) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: recovered step %d shares" label
+                 st.Chase.Derivation.index)
+              true
+              (st.Chase.Derivation.instance == st.Chase.Derivation.pre_instance))
+          steps
+  in
+  check_dir "log replay" ~snapshot_every:0;
+  check_dir "snapshot" ~snapshot_every:1
 
 let test_snap_fault_leaves_log_intact () =
   with_dir @@ fun dir ->
@@ -794,6 +960,9 @@ let suites =
         tc "crc flip at EOF is a torn tail" test_last_frame_crc_flip_is_torn;
         tc "snapshot cadence and segment rotation" test_snapshot_and_rotation;
         tc "snap fault leaves the log intact" test_snap_fault_leaves_log_intact;
+        tc "a crash mid-prune still opens" test_prune_crash_prefixes;
+        tc "snapshot every round keeps one snapshot"
+          test_snapshot_every_round_prunes;
         tc "wal metrics move" test_wal_metrics;
       ] );
     ( "storage.recovery",
@@ -802,6 +971,8 @@ let suites =
         tc "kill/resume differential, jobs=4" test_differential_jobs4;
         tc "kill at every frame boundary" test_boundary_sweep;
         tc "recover error taxonomy" test_recover_errors;
+        tc "recovered monotone steps share their instance"
+          test_recovered_steps_share;
       ] );
     ( "storage.serve",
       [
